@@ -81,6 +81,33 @@ impl BatchCipher for crate::bitslice::Bitsliced8 {
 // blocks stay off the batch API, whose layout is fixed to AES blocks.
 impl BatchCipher for Rijndael<4> {}
 
+// One keyed cipher shared by several lanes (a service session's CMAC,
+// GCM, XTS and bulk paths). The batch methods are forwarded explicitly:
+// the provided per-block loop would silently drop the batch path.
+impl<C: BlockCipher + ?Sized> BlockCipher for std::sync::Arc<C> {
+    fn block_len(&self) -> usize {
+        (**self).block_len()
+    }
+
+    fn encrypt_in_place(&self, block: &mut [u8]) {
+        (**self).encrypt_in_place(block);
+    }
+
+    fn decrypt_in_place(&self, block: &mut [u8]) {
+        (**self).decrypt_in_place(block);
+    }
+}
+
+impl<C: BatchCipher + ?Sized> BatchCipher for std::sync::Arc<C> {
+    fn encrypt_blocks(&self, blocks: &mut [[u8; 16]]) {
+        (**self).encrypt_blocks(blocks);
+    }
+
+    fn decrypt_blocks(&self, blocks: &mut [[u8; 16]]) {
+        (**self).decrypt_blocks(blocks);
+    }
+}
+
 /// The Rijndael cipher with a block of `NB` 32-bit columns.
 ///
 /// The key size is chosen at runtime (16–32 bytes in 4-byte steps); the

@@ -613,6 +613,16 @@ mod tests {
             let mut one = PT;
             cipher.encrypt_in_place(&mut one);
             assert_eq!(one, CT, "{} single block", kind.token());
+            // Shared behind an `Arc`, the cipher batches byte-identically.
+            let shared = std::sync::Arc::new(cipher);
+            let mut direct: Vec<[u8; 16]> = (0..11u8).map(|i| [i; 16]).collect();
+            let mut via_arc = direct.clone();
+            shared.as_ref().encrypt_blocks(&mut direct);
+            BatchCipher::encrypt_blocks(&shared, &mut via_arc);
+            assert_eq!(via_arc, direct, "{} encrypt via Arc", kind.token());
+            shared.as_ref().decrypt_blocks(&mut direct);
+            BatchCipher::decrypt_blocks(&shared, &mut via_arc);
+            assert_eq!(via_arc, direct, "{} decrypt via Arc", kind.token());
         }
     }
 

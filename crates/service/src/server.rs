@@ -29,18 +29,20 @@
 //!
 //! # Pipelining
 //!
-//! Protocol-v2 engine ops are **submitted, not awaited**: the request's
-//! correlation id rides into the session's pipelined lane
-//! ([`crate::session::Session::submit`]) and the reply is emitted when
-//! the engine completes the job — in completion order, which across a
-//! multi-core farm is not submission order. A v2 client may therefore
-//! keep an arbitrary pipeline depth per connection. Bulk-eligible
-//! payloads hand off to the session's worker pool
-//! ([`engine::WorkerPool`]) and never run crypto on the shard thread;
-//! each shard parks a self-pipe wake fd in its poll set so a pool
-//! completion cuts the poll short and the reply goes out immediately.
-//! Version-1 frames keep the PR 3 contract to the letter: executed
-//! synchronously, replies in request order, one layout on the wire.
+//! Engine ops follow one of two disciplines, chosen by the frame's
+//! version. Version-1 frames keep the original contract to the letter:
+//! executed synchronously ([`crate::session::Session::execute`]),
+//! replies in request order, one layout on the wire. Protocol-v2 engine
+//! ops are **submitted, not awaited**: the request's correlation id
+//! rides into [`crate::session::Session::submit`] and the reply is
+//! emitted when the job completes — in completion order, which is not
+//! submission order. A v2 client may therefore keep an arbitrary
+//! pipeline depth per connection. Bulk payloads hand off to the
+//! session's worker pool ([`engine::WorkerPool`]) and never run crypto
+//! on the shard thread; a full pool answers a typed
+//! [`ErrorCode::Busy`]. Each shard parks a self-pipe wake fd in its poll
+//! set: a pool completion, or the acceptor handing over a new socket,
+//! cuts the poll short so the reply goes out immediately.
 //!
 //! # Telemetry
 //!
@@ -57,8 +59,8 @@
 //! there is exactly one counter path.
 //!
 //! Shutdown is graceful: the acceptor stops admitting, every shard
-//! answers each connection's in-flight pipelined jobs, flushes its
-//! deferred jobs (delivering their [`Status::Data`] replies), sends an
+//! answers each connection's in-flight pipelined jobs (waiting out bulk
+//! jobs still executing on the pool), sends an
 //! [`ErrorCode::ShuttingDown`] goodbye, and exits;
 //! [`ServiceHandle::shutdown`] joins the acceptor, which joins every
 //! shard — no threads outlive the handle.
@@ -77,9 +79,9 @@ use telemetry::{Counter, Gauge, Registry};
 
 use crate::net::{self, PollSet};
 use crate::protocol::{
-    ErrorCode, Frame, Op, RecvBuffer, RecvError, Status, FLAG_DEFER, PROTOCOL_V1, PROTOCOL_V2,
+    error_payload, ErrorCode, Frame, Op, RecvBuffer, RecvError, Status, PROTOCOL_V1, PROTOCOL_V2,
 };
-use crate::session::SessionSlot;
+use crate::session::{Session, SessionSlot};
 
 /// Readiness-poll timeout: how often an idle shard (or the acceptor)
 /// wakes to check the shutdown flag, the inbox and the idle budgets.
@@ -142,8 +144,9 @@ pub struct ServiceConfig {
     /// portable binary still lands on AES-NI/AVX2 where the serving CPU
     /// has them.
     pub farm: Vec<BackendSpec>,
-    /// Bound on each session's engine queue (deferred plus pipelined
-    /// jobs); exceeding it earns a typed [`ErrorCode::Busy`] reply.
+    /// Bound on each session's open pipelined bulk jobs (its worker
+    /// pool) and on its engine queue; a v2 bulk request beyond it earns a
+    /// typed [`ErrorCode::Busy`] reply.
     pub queue_capacity: usize,
     /// Connection admission cap.
     pub max_connections: usize,
@@ -247,8 +250,8 @@ impl ServiceConfigBuilder {
         self
     }
 
-    /// Bound on each session's engine queue (deferred plus pipelined
-    /// jobs).
+    /// Bound on each session's open pipelined bulk jobs (see
+    /// [`ServiceConfig::queue_capacity`]).
     #[must_use]
     pub fn queue_capacity(mut self, capacity: usize) -> Self {
         self.config.queue_capacity = capacity;
@@ -405,15 +408,20 @@ impl Server {
         let mut inboxes = Vec::with_capacity(shard_count);
         let mut shards = Vec::with_capacity(shard_count);
         for i in 0..shard_count {
-            let inbox: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
+            let inbox: Inbox = Arc::new(Mutex::new(Vec::new()));
+            // The shard's wake pipe exists before the shard does, so the
+            // acceptor can wake it for each handed-off socket instead of
+            // leaving first contact to wait out the shard's poll timeout.
+            let wake = net::WakePipe::new();
+            let waker = wake.as_ref().map(net::WakePipe::notifier);
             let shard_shared = Arc::clone(&shared);
             let shard_inbox = Arc::clone(&inbox);
             shards.push(
                 thread::Builder::new()
                     .name(format!("service-shard-{i}"))
-                    .spawn(move || shard_loop(&shard_shared, &shard_inbox))?,
+                    .spawn(move || shard_loop(&shard_shared, &shard_inbox, wake))?,
             );
-            inboxes.push(inbox);
+            inboxes.push((inbox, waker));
         }
         let acceptor = {
             let shared = Arc::clone(&shared);
@@ -464,8 +472,7 @@ impl ServiceHandle {
     }
 
     /// Stops accepting, answers every connection's in-flight pipelined
-    /// and deferred jobs, sends each peer a typed goodbye, and joins
-    /// all threads.
+    /// jobs, sends each peer a typed goodbye, and joins all threads.
     pub fn shutdown(mut self) {
         self.stop();
     }
@@ -497,10 +504,13 @@ impl std::fmt::Debug for ServiceHandle {
 // Acceptor
 // ---------------------------------------------------------------------
 
+/// Sockets handed from the acceptor to one shard.
+type Inbox = Arc<Mutex<Vec<TcpStream>>>;
+
 fn accept_loop(
     listener: &TcpListener,
     shared: &Arc<Shared>,
-    inboxes: &[Arc<Mutex<Vec<TcpStream>>>],
+    inboxes: &[(Inbox, Option<net::WakeNotifier>)],
     shards: Vec<JoinHandle<()>>,
 ) {
     let mut poll = PollSet::new();
@@ -517,7 +527,11 @@ fn accept_loop(
                     }
                     shared.active.add(1);
                     shared.served.incr();
-                    inboxes[next_shard].lock().expect("inbox lock").push(stream);
+                    let (inbox, waker) = &inboxes[next_shard];
+                    inbox.lock().expect("inbox lock").push(stream);
+                    if let Some(waker) = waker {
+                        waker.wake();
+                    }
                     next_shard = (next_shard + 1) % inboxes.len();
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
@@ -664,7 +678,7 @@ impl Conn {
 // Shard event loop
 // ---------------------------------------------------------------------
 
-fn shard_loop(shared: &Arc<Shared>, inbox: &Arc<Mutex<Vec<TcpStream>>>) {
+fn shard_loop(shared: &Arc<Shared>, inbox: &Inbox, mut wake: Option<net::WakePipe>) {
     let mut conns: Vec<Option<Conn>> = Vec::new();
     let mut poll = PollSet::new();
     let mut scratch = vec![0u8; 64 * 1024];
@@ -675,11 +689,11 @@ fn shard_loop(shared: &Arc<Shared>, inbox: &Arc<Mutex<Vec<TcpStream>>>) {
         .registry
         .histogram("service.loop.dispatch_micros", &DISPATCH_BOUNDS);
 
-    // Self-pipe wakeup: session worker pools call the notifier when a
-    // bulk job finishes, making the pipe readable so a parked poll(2)
-    // returns immediately instead of waiting out its timeout. The pipe
-    // is registered under a reserved token no connection slot can reach.
-    let mut wake = net::WakePipe::new();
+    // Self-pipe wakeup: the acceptor after a hand-off, and session worker
+    // pools when a bulk job finishes, make the pipe readable so a parked
+    // poll(2) returns immediately instead of waiting out its timeout. The
+    // pipe is registered under a reserved token no connection slot can
+    // reach.
     let shard_notifier: Option<Arc<dyn Fn() + Send + Sync>> = wake.as_ref().map(|w| {
         let n = w.notifier();
         Arc::new(move || n.wake()) as Arc<dyn Fn() + Send + Sync>
@@ -714,8 +728,8 @@ fn shard_loop(shared: &Arc<Shared>, inbox: &Arc<Mutex<Vec<TcpStream>>>) {
 
         // Interest set: read unless backpressured or closing, write
         // when bytes are queued. The wake pipe rides along under its
-        // reserved token so completions (and only completions) can cut
-        // a poll short.
+        // reserved token so hand-offs and completions can cut a poll
+        // short.
         poll.clear();
         for (token, conn) in conns.iter().enumerate() {
             let Some(conn) = conn else { continue };
@@ -912,48 +926,25 @@ fn service_readable(conn: &mut Conn, shared: &Shared, scratch: &mut [u8]) -> boo
     true
 }
 
-/// Emits a reply for every pipelined job the engine has finished, in
+/// Emits a reply for every pipelined job the session has finished, in
 /// completion order.
 fn collect_pipelined(conn: &mut Conn, shared: &Shared) {
     let Some(session) = conn.slot.session_mut() else {
         return;
     };
-    collect_session(session, &mut conn.out, shared);
-}
-
-/// The session-level half of [`collect_pipelined`], callable from
-/// dispatch (where the connection is already split into its fields).
-fn collect_session(session: &mut crate::session::Session, out: &mut OutBuf, shared: &Shared) {
     if session.in_flight() == 0 {
         return;
     }
     let sid = session.id();
-    let results = session.collect();
-    for (corr, result) in results {
+    for (corr, result) in session.collect() {
         shared.inflight.sub(1);
-        let frame = match result {
-            // Pipelined replies mirror `corr` into `seq`: correlation
-            // is the contract, `seq` is diagnostics.
-            Ok(data) => pipelined_frame(Status::Ok, corr, sid, data),
-            Err(e) => {
-                let (code, detail) = engine_error_code(Error::from(e));
-                shared.count_error(code);
-                pipelined_frame(Status::Error, corr, sid, error_body_bytes(code, detail))
-            }
-        };
-        let _ = out.push(&frame);
+        let (status, payload) = reply_body(shared, result.map_err(engine_error_code));
+        // Pipelined replies mirror `corr` into `seq`: correlation is the
+        // contract, `seq` is diagnostics.
+        let _ = conn
+            .out
+            .push(&Frame::reply(status, corr, sid, payload).with_corr(corr));
     }
-}
-
-fn pipelined_frame(status: Status, corr: u32, sid: u32, payload: Vec<u8>) -> Frame {
-    Frame::reply(status, corr, sid, payload).with_corr(corr)
-}
-
-fn error_body_bytes(code: ErrorCode, detail: u32) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(5);
-    payload.push(code as u8);
-    payload.extend_from_slice(&detail.to_be_bytes());
-    payload
 }
 
 /// Answers every outstanding job, then says goodbye — the shutdown
@@ -968,21 +959,6 @@ fn drain_and_say_goodbye(mut conn: Conn, shared: &Shared) {
         let _ = session.quiesce(DRAIN_POOL_TIMEOUT);
     }
     collect_pipelined(&mut conn, shared);
-    if let Some(session) = conn.slot.session_mut() {
-        let sid = session.id();
-        let peer_version = conn.peer_version;
-        for (tag, result) in session.flush() {
-            let frame = match result {
-                Ok(data) => Frame::reply(Status::Data, tag, sid, data).with_corr(tag),
-                Err(e) => {
-                    let (code, detail) = engine_error_code(Error::from(e));
-                    shared.count_error(code);
-                    pipelined_frame(Status::Error, tag, sid, error_body_bytes(code, detail))
-                }
-            };
-            let _ = conn.out.push(&frame.with_version(peer_version));
-        }
-    }
     conn.push_goodbye(shared, ErrorCode::ShuttingDown, 0);
     let _ = conn.stream.set_nonblocking(false);
     let _ = (&conn.stream).write_all(&conn.out.buf[conn.out.start..]);
@@ -991,6 +967,10 @@ fn drain_and_say_goodbye(mut conn: Conn, shared: &Shared) {
 // ---------------------------------------------------------------------
 // Dispatch
 // ---------------------------------------------------------------------
+
+/// One request's outcome: the [`Status::Ok`] payload, or a typed error
+/// `(code, detail)`.
+type Reply = Result<Vec<u8>, (ErrorCode, u32)>;
 
 /// The one place engine failures become wire error codes: submission
 /// rejections keep their typed identity (`Busy` carries the capacity,
@@ -1006,368 +986,188 @@ fn engine_error_code(e: Error) -> (ErrorCode, u32) {
     }
 }
 
-/// Queues a reply that echoes `req`'s version/seq/corr, carrying
-/// session id `sid`.
-fn push_reply(conn_out: &mut OutBuf, req: &Frame, status: Status, sid: u32, payload: Vec<u8>) {
-    let mut frame = Frame::reply_to(req, status, payload);
-    frame.session = sid;
-    let _ = conn_out.push(&frame);
+/// An AEAD or key-wrap failure on a payload of `len` bytes: a failed
+/// authentication names nothing, anything else is a malformed payload.
+fn aead_error(e: aead::Error, len: u32) -> (ErrorCode, u32) {
+    match e {
+        aead::Error::TagMismatch => (ErrorCode::TagMismatch, 0),
+        _ => (ErrorCode::Malformed, len),
+    }
 }
 
-/// Tallies and queues one typed error reply — every in-band error frame
-/// leaves through here so `service.error.*` counts them all.
-fn push_error(
-    conn_out: &mut OutBuf,
-    shared: &Shared,
-    req: &Frame,
-    code: ErrorCode,
-    detail: u32,
-    sid: u32,
-) {
-    shared.count_error(code);
-    push_reply(
-        conn_out,
-        req,
-        Status::Error,
-        sid,
-        error_body_bytes(code, detail),
-    );
+/// Splits an outcome into the reply's status and payload, tallying
+/// `service.error.<code>`. Every in-band reply passes through here, so
+/// the error tallies are complete by construction.
+fn reply_body(shared: &Shared, reply: Reply) -> (Status, Vec<u8>) {
+    match reply {
+        Ok(payload) => (Status::Ok, payload),
+        Err((code, detail)) => {
+            shared.count_error(code);
+            (Status::Error, error_payload(code, detail))
+        }
+    }
 }
 
-fn push_engine_error(conn_out: &mut OutBuf, shared: &Shared, req: &Frame, e: Error, sid: u32) {
-    let (code, detail) = engine_error_code(e);
-    push_error(conn_out, shared, req, code, detail, sid);
-}
-
-fn dispatch(frame: Frame, conn: &mut Conn, shared: &Shared) -> Flow {
+/// Answers one request. The reply echoes the request's version, `seq`
+/// and `corr`, and carries the live session id — after a re-key, the
+/// new one.
+fn dispatch(mut frame: Frame, conn: &mut Conn, shared: &Shared) -> Flow {
     shared
         .registry
         .histogram("service.frame.request_bytes", &FRAME_SIZE_BOUNDS)
         .record((frame.header_len() + frame.payload.len()) as u64);
-    let notifier = conn.notifier.clone();
-    let slot = &mut conn.slot;
-    let out = &mut conn.out;
-    let live = slot.session_mut().map_or(0, |s| s.id());
-    if frame.version != PROTOCOL_V1 && frame.version != PROTOCOL_V2 {
-        push_error(
-            out,
-            shared,
-            &frame,
-            ErrorCode::BadVersion,
-            u32::from(frame.version),
-            live,
-        );
-        return Flow::Close; // framing may differ across versions
+    let known = frame.version == PROTOCOL_V1 || frame.version == PROTOCOL_V2;
+    let payload = std::mem::take(&mut frame.payload);
+    let reply = if known {
+        handle(&frame, payload, conn, shared)
+    } else {
+        Some(Err((ErrorCode::BadVersion, u32::from(frame.version))))
+    };
+    if let Some(reply) = reply {
+        let (status, payload) = reply_body(shared, reply);
+        let reply = Frame {
+            session: conn.live_session(),
+            ..Frame::reply_to(&frame, status, payload)
+        };
+        let _ = conn.out.push(&reply);
     }
+    if known {
+        Flow::Continue
+    } else {
+        Flow::Close // framing may differ across versions
+    }
+}
+
+/// Runs one request of a known version. `None` means the reply comes
+/// later: a pipelined engine op is answered when it completes.
+fn handle(frame: &Frame, payload: Vec<u8>, conn: &mut Conn, shared: &Shared) -> Option<Reply> {
     let Some(op) = frame.op() else {
-        push_error(
-            out,
-            shared,
-            &frame,
-            ErrorCode::BadOp,
-            u32::from(frame.kind),
-            live,
-        );
-        return Flow::Continue;
+        return Some(Err((ErrorCode::BadOp, u32::from(frame.kind))));
     };
     shared
         .registry
         .counter(&format!("service.op.{}.requests", op.name()))
         .incr();
-    if frame.flags & FLAG_DEFER != 0 && !op.is_engine_op() {
-        push_error(
-            out,
-            shared,
-            &frame,
-            ErrorCode::DeferUnsupported,
-            u32::from(op as u8),
-            live,
-        );
-        return Flow::Continue;
+    let len = payload.len() as u32;
+    if frame.flags != 0 {
+        // The flags byte is reserved and must be 0.
+        return Some(Err((ErrorCode::Malformed, u32::from(frame.flags))));
     }
-
     match op {
-        Op::Ping => {
-            let payload = frame.payload.clone();
-            push_reply(out, &frame, Status::Ok, live, payload);
+        Op::Ping => return Some(Ok(payload)),
+        Op::GetStats if payload.is_empty() => {
+            return Some(Ok(shared.registry.snapshot().to_json().into_bytes()));
         }
-        Op::GetStats => {
-            if !frame.payload.is_empty() {
-                push_error(
-                    out,
-                    shared,
-                    &frame,
-                    ErrorCode::Malformed,
-                    frame.payload.len() as u32,
-                    live,
-                );
-                return Flow::Continue;
-            }
-            let json = shared.registry.snapshot().to_json();
-            push_reply(out, &frame, Status::Ok, live, json.into_bytes());
-        }
-        Op::SetKey => {
-            if !matches!(frame.payload.len(), 16 | 24 | 32) {
-                push_error(
-                    out,
-                    shared,
-                    &frame,
-                    ErrorCode::BadKeyLength,
-                    frame.payload.len() as u32,
-                    live,
-                );
-                return Flow::Continue;
-            }
-            let mut key = [0u8; 32];
-            let len = frame.payload.len();
-            key[..len].copy_from_slice(&frame.payload);
-            let sid = slot.rekey(
-                &key[..len],
-                &shared.config.farm,
-                shared.config.queue_capacity,
-                &shared.registry,
-            );
-            rijndael::zeroize::wipe_bytes(&mut key);
-            // Hook the fresh session's pool completions up to this
-            // shard's wake pipe so a finished bulk job interrupts the
-            // poll instead of waiting out its timeout.
-            if let Some(n) = notifier {
-                slot.session_mut().expect("just rekeyed").set_notifier(n);
-            }
-            // The reply carries the new id in the header only — key
-            // material never appears in any reply payload.
-            push_reply(out, &frame, Status::Ok, sid, Vec::new());
-        }
-        Op::SetKeyWrapped => {
-            // Needs a live session: its key is the KEK the blob was
-            // wrapped under. Every failure leaves that session live so
-            // the client can retry with a corrected blob.
-            if !session_ok(out, shared, &frame, live) {
-                return Flow::Continue;
-            }
-            let unwrapped = slot
-                .session_mut()
-                .expect("checked live")
-                .unwrap_key(&frame.payload);
-            match unwrapped {
-                Ok(mut key) => {
-                    if !matches!(key.len(), 16 | 24 | 32) {
-                        let len = key.len() as u32;
-                        rijndael::zeroize::wipe_bytes(&mut key);
-                        push_error(out, shared, &frame, ErrorCode::BadKeyLength, len, live);
-                        return Flow::Continue;
-                    }
-                    let sid = slot.rekey(
-                        &key,
-                        &shared.config.farm,
-                        shared.config.queue_capacity,
-                        &shared.registry,
-                    );
-                    rijndael::zeroize::wipe_bytes(&mut key);
-                    if let Some(n) = notifier {
-                        slot.session_mut().expect("just rekeyed").set_notifier(n);
-                    }
-                    push_reply(out, &frame, Status::Ok, sid, Vec::new());
-                }
-                Err(aead::Error::TagMismatch) => {
-                    push_error(out, shared, &frame, ErrorCode::TagMismatch, 0, live);
-                }
-                Err(_) => {
-                    push_error(
-                        out,
-                        shared,
-                        &frame,
-                        ErrorCode::Malformed,
-                        frame.payload.len() as u32,
-                        live,
-                    );
-                }
-            }
-        }
-        Op::Flush => {
-            if !session_ok(out, shared, &frame, live) {
-                return Flow::Continue;
-            }
-            let session = slot.session_mut().expect("checked live");
-            let results = session.flush();
-            let count = results.len() as u32;
-            for (tag, result) in results {
-                let reply = match result {
-                    Ok(data) => Frame::reply(Status::Data, tag, live, data).with_corr(tag),
-                    Err(e) => {
-                        let (code, detail) = engine_error_code(Error::from(e));
-                        shared.count_error(code);
-                        pipelined_frame(Status::Error, tag, live, error_body_bytes(code, detail))
-                    }
-                };
-                let _ = out.push(&reply.with_version(frame.version));
-            }
-            push_reply(
-                out,
-                &frame,
-                Status::Flushed,
-                live,
-                count.to_be_bytes().to_vec(),
-            );
-        }
-        Op::CmacTag => {
-            if !session_ok(out, shared, &frame, live) {
-                return Flow::Continue;
-            }
-            let session = slot.session_mut().expect("checked live");
-            let tag = session.cmac_tag(&frame.payload);
-            push_reply(out, &frame, Status::Ok, live, tag.to_vec());
-        }
-        Op::CmacVerify => {
-            if !session_ok(out, shared, &frame, live) {
-                return Flow::Continue;
-            }
-            if frame.payload.len() < 16 {
-                push_error(
-                    out,
-                    shared,
-                    &frame,
-                    ErrorCode::Malformed,
-                    frame.payload.len() as u32,
-                    live,
-                );
-                return Flow::Continue;
-            }
-            let session = slot.session_mut().expect("checked live");
-            let tag: [u8; 16] = frame.payload[..16].try_into().expect("16-byte slice");
-            if session.cmac_verify(&frame.payload[16..], &tag) {
-                push_reply(out, &frame, Status::Ok, live, Vec::new());
-            } else {
-                push_error(out, shared, &frame, ErrorCode::BadTag, 0, live);
-            }
-        }
-        Op::Seal | Op::Open => {
-            if !session_ok(out, shared, &frame, live) {
-                return Flow::Continue;
-            }
-            let Some((nonce, aad, body)) = split_aead_payload(&frame.payload) else {
-                push_error(
-                    out,
-                    shared,
-                    &frame,
-                    ErrorCode::Malformed,
-                    frame.payload.len() as u32,
-                    live,
-                );
-                return Flow::Continue;
-            };
-            let session = slot.session_mut().expect("checked live");
-            if op == Op::Seal {
-                let sealed = session.seal(&nonce, aad, body);
-                push_reply(out, &frame, Status::Ok, live, sealed);
-            } else {
-                match session.open(&nonce, aad, body) {
-                    Ok(plaintext) => push_reply(out, &frame, Status::Ok, live, plaintext),
-                    Err(aead::Error::TagMismatch) => {
-                        push_error(out, shared, &frame, ErrorCode::TagMismatch, 0, live);
-                    }
-                    Err(_) => {
-                        push_error(
-                            out,
-                            shared,
-                            &frame,
-                            ErrorCode::Malformed,
-                            frame.payload.len() as u32,
-                            live,
-                        );
-                    }
-                }
-            }
-        }
-        Op::WrapKey | Op::UnwrapKey => {
-            if !session_ok(out, shared, &frame, live) {
-                return Flow::Continue;
-            }
-            let session = slot.session_mut().expect("checked live");
-            let result = if op == Op::WrapKey {
-                session.wrap_key(&frame.payload)
-            } else {
-                session.unwrap_key(&frame.payload)
-            };
-            match result {
-                Ok(data) => push_reply(out, &frame, Status::Ok, live, data),
-                Err(aead::Error::TagMismatch) => {
-                    push_error(out, shared, &frame, ErrorCode::TagMismatch, 0, live);
-                }
-                Err(_) => {
-                    push_error(
-                        out,
-                        shared,
-                        &frame,
-                        ErrorCode::Malformed,
-                        frame.payload.len() as u32,
-                        live,
-                    );
-                }
-            }
-        }
-        Op::XtsEncrypt | Op::XtsDecrypt => {
-            if !session_ok(out, shared, &frame, live) {
-                return Flow::Continue;
-            }
-            let Some((sector_base, sector_size, body)) = split_xts_payload(&frame.payload) else {
-                push_error(
-                    out,
-                    shared,
-                    &frame,
-                    ErrorCode::Malformed,
-                    frame.payload.len() as u32,
-                    live,
-                );
-                return Flow::Continue;
-            };
-            if sector_size < 16 {
-                push_error(
-                    out,
-                    shared,
-                    &frame,
-                    ErrorCode::BadSectorSize,
-                    sector_size,
-                    live,
-                );
-                return Flow::Continue;
-            }
-            if body.is_empty() || body.len() % sector_size as usize != 0 {
-                push_error(
-                    out,
-                    shared,
-                    &frame,
-                    ErrorCode::BadSectorSize,
-                    body.len() as u32,
-                    live,
-                );
-                return Flow::Continue;
-            }
-            let session = slot.session_mut().expect("checked live");
-            match session.xts_apply(
-                sector_base,
-                sector_size as usize,
-                body.to_vec(),
-                op == Op::XtsDecrypt,
-            ) {
-                Ok(data) => push_reply(out, &frame, Status::Ok, live, data),
-                // Unreachable after the validation above, but kept typed
-                // rather than panicking in the event loop.
-                Err(_) => {
-                    push_error(
-                        out,
-                        shared,
-                        &frame,
-                        ErrorCode::BadSectorSize,
-                        sector_size,
-                        live,
-                    );
-                }
-            }
-        }
-        _ => return engine_op(frame, op, slot, out, shared, live),
+        Op::GetStats => return Some(Err((ErrorCode::Malformed, len))),
+        Op::SetKey => return Some(rekey(conn, shared, payload)),
+        _ => {}
     }
-    Flow::Continue
+    // Every other op runs under the live session. The error reply's
+    // session field carries the live id so the client can resynchronise.
+    let live = conn.live_session();
+    if live == 0 {
+        return Some(Err((ErrorCode::NoSession, 0)));
+    }
+    if frame.session != live {
+        return Some(Err((ErrorCode::StaleSession, live)));
+    }
+    let session = conn.slot.session_mut().expect("checked live");
+    Some(match op {
+        // The live session's key is the KEK the blob was wrapped under.
+        // Every failure leaves that session live so the client can retry
+        // with a corrected blob.
+        Op::SetKeyWrapped => match session.unwrap_key(&payload) {
+            Ok(key) => rekey(conn, shared, key),
+            Err(e) => Err(aead_error(e, len)),
+        },
+        Op::CmacTag => Ok(session.cmac_tag(&payload).to_vec()),
+        Op::CmacVerify => match payload.split_first_chunk::<16>() {
+            Some((tag, message)) if session.cmac_verify(message, tag) => Ok(Vec::new()),
+            Some(_) => Err((ErrorCode::BadTag, 0)),
+            None => Err((ErrorCode::Malformed, len)),
+        },
+        Op::Seal | Op::Open => match split_aead_payload(&payload) {
+            None => Err((ErrorCode::Malformed, len)),
+            Some((nonce, aad, body)) if op == Op::Seal => Ok(session.seal(&nonce, aad, body)),
+            Some((nonce, aad, body)) => session
+                .open(&nonce, aad, body)
+                .map_err(|e| aead_error(e, len)),
+        },
+        Op::WrapKey => session.wrap_key(&payload).map_err(|e| aead_error(e, len)),
+        Op::UnwrapKey => session.unwrap_key(&payload).map_err(|e| aead_error(e, len)),
+        Op::XtsEncrypt | Op::XtsDecrypt => match split_xts_payload(&payload) {
+            None => Err((ErrorCode::Malformed, len)),
+            Some((_, size, _)) if size < 16 => Err((ErrorCode::BadSectorSize, size)),
+            Some((_, size, body))
+                if body.is_empty() || !body.len().is_multiple_of(size as usize) =>
+            {
+                Err((ErrorCode::BadSectorSize, body.len() as u32))
+            }
+            // The session's own error is unreachable after the checks
+            // above, but stays typed rather than panicking the loop.
+            Some((base, size, body)) => session
+                .xts_apply(base, size as usize, body.to_vec(), op == Op::XtsDecrypt)
+                .map_err(|_| (ErrorCode::BadSectorSize, size)),
+        },
+        _ => return engine_op(frame, op, payload, session, shared),
+    })
+}
+
+/// Replaces the connection's session with one keyed on `key` and wipes
+/// the key bytes. The reply carries the new id in the header only — key
+/// material never appears in any reply payload.
+fn rekey(conn: &mut Conn, shared: &Shared, mut key: Vec<u8>) -> Reply {
+    let reply = if matches!(key.len(), 16 | 24 | 32) {
+        let config = &shared.config;
+        conn.slot
+            .rekey(&key, &config.farm, config.queue_capacity, &shared.registry);
+        // Hook the fresh session's pool completions up to this shard's
+        // wake pipe so a finished bulk job interrupts the poll instead
+        // of waiting out its timeout.
+        if let Some(n) = &conn.notifier {
+            let session = conn.slot.session_mut().expect("just rekeyed");
+            session.set_notifier(Arc::clone(n));
+        }
+        Ok(Vec::new())
+    } else {
+        Err((ErrorCode::BadKeyLength, key.len() as u32))
+    };
+    rijndael::zeroize::wipe_bytes(&mut key);
+    reply
+}
+
+/// The five engine ops in the two disciplines: a v1 request runs to
+/// completion here, keeping v1's in-order replies; a v2 request is
+/// submitted and answered at completion (`None`), so bulk crypto runs on
+/// the session's worker pool and never on the shard thread.
+fn engine_op(
+    frame: &Frame,
+    op: Op,
+    mut data: Vec<u8>,
+    session: &mut Session,
+    shared: &Shared,
+) -> Option<Reply> {
+    let mut iv = [0u8; 16];
+    if op.takes_iv() {
+        if data.len() < 16 {
+            return Some(Err((ErrorCode::Malformed, data.len() as u32)));
+        }
+        iv.copy_from_slice(&data[..16]);
+        data.drain(..16);
+    }
+    let mode = op
+        .engine_mode(iv)
+        .expect("dispatch routes only engine ops here");
+    if frame.version < PROTOCOL_V2 {
+        return Some(session.execute(mode, data).map_err(engine_error_code));
+    }
+    match session.submit(frame.corr, mode, data) {
+        Ok(()) => {
+            shared.inflight.add(1);
+            None
+        }
+        Err(e) => Some(Err(engine_error_code(e.into()))),
+    }
 }
 
 /// Splits an XTS payload — `sector_base: u64 BE` ‖ `sector_size: u32
@@ -1396,101 +1196,12 @@ fn split_aead_payload(payload: &[u8]) -> Option<([u8; aead::NONCE_LEN], &[u8], &
     Some((nonce, aad, body))
 }
 
-/// The five engine ops: IV split, mode mapping, and the three service
-/// disciplines — immediate (v1 and bulk), pipelined (v2), deferred.
-fn engine_op(
-    mut frame: Frame,
-    op: Op,
-    slot: &mut SessionSlot,
-    out: &mut OutBuf,
-    shared: &Shared,
-    live: u32,
-) -> Flow {
-    if !session_ok(out, shared, &frame, live) {
-        return Flow::Continue;
-    }
-    let payload = std::mem::take(&mut frame.payload);
-    let (iv, data) = if op.takes_iv() {
-        if payload.len() < 16 {
-            push_error(
-                out,
-                shared,
-                &frame,
-                ErrorCode::Malformed,
-                payload.len() as u32,
-                live,
-            );
-            return Flow::Continue;
-        }
-        let iv: [u8; 16] = payload[..16].try_into().expect("16-byte slice");
-        (iv, payload[16..].to_vec())
-    } else {
-        ([0u8; 16], payload)
-    };
-    let mode = op
-        .engine_mode(iv)
-        .expect("dispatch routes only engine ops here");
-    let session = slot.session_mut().expect("checked live");
-
-    if frame.flags & FLAG_DEFER != 0 {
-        match session.defer(frame.corr, mode, data) {
-            Ok(_) => push_reply(out, &frame, Status::Accepted, live, Vec::new()),
-            Err(e) => push_engine_error(out, shared, &frame, Error::from(e), live),
-        }
-        return Flow::Continue;
-    }
-
-    // v1 immediates run inline to keep their in-order reply contract
-    // (the session still picks its bitsliced bulk lane internally). v2
-    // traffic is pipelined: the session routes small jobs to its engine
-    // queue and bulk jobs to the worker pool, so the event loop never
-    // runs bulk crypto on its own thread.
-    if frame.version < PROTOCOL_V2 {
-        match session.execute(mode, data) {
-            Ok(result) => push_reply(out, &frame, Status::Ok, live, result),
-            Err(e) => push_engine_error(out, shared, &frame, e, live),
-        }
-        return Flow::Continue;
-    }
-
-    // v2 pipelined: submit now, reply at completion (collect_pipelined
-    // runs after the dispatch batch). A full queue is not Busy yet —
-    // draining completions frees slots, so the client only sees Busy
-    // when the queue is full of genuinely *unfinished* work (deferred
-    // jobs it has not flushed).
-    if session.in_flight() + session.outstanding() >= session.queue_capacity() {
-        collect_session(session, out, shared);
-    }
-    match session.submit(frame.corr, mode, data) {
-        Ok(_) => {
-            shared.inflight.add(1);
-        }
-        Err(e) => push_engine_error(out, shared, &frame, Error::from(e), live),
-    }
-    Flow::Continue
-}
-
-/// Session gate for ops that need one: queues `NoSession` /
-/// `StaleSession` itself and returns `false` so the caller just
-/// continues. (Matches the PR 3 semantics: the error's `session` field
-/// carries the *live* id so the client can resynchronise.)
-fn session_ok(out: &mut OutBuf, shared: &Shared, frame: &Frame, live: u32) -> bool {
-    if live == 0 {
-        push_error(out, shared, frame, ErrorCode::NoSession, 0, 0);
-        return false;
-    }
-    if frame.session != live {
-        push_error(out, shared, frame, ErrorCode::StaleSession, live, live);
-        return false;
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::protocol::MAX_FRAME_LEN;
     use crate::session::BULK_THRESHOLD;
+    use rijndael::BlockCipher;
 
     fn tiny_config() -> ServiceConfig {
         ServiceConfig::builder()
@@ -1548,6 +1259,30 @@ mod tests {
         // After shutdown the port no longer accepts (the goodbye may or
         // may not arrive first depending on scheduling, so only the
         // join mattered here).
+    }
+
+    #[test]
+    fn first_contact_is_served_without_waiting_out_the_poll_timeout() {
+        // The acceptor wakes the shard it hands a socket to, so a first
+        // request never waits out the shard's 10 ms poll timeout.
+        let server = Server::new(ServiceConfig::default())
+            .spawn("127.0.0.1:0")
+            .unwrap();
+        let mut samples = Vec::new();
+        for seq in 0..20 {
+            let started = Instant::now();
+            let stream = TcpStream::connect(server.local_addr()).unwrap();
+            let reply = call(&stream, &Frame::request(Op::Ping, 0, seq, 0, Vec::new()));
+            samples.push(started.elapsed());
+            assert_eq!(reply.status(), Some(Status::Ok));
+        }
+        samples.sort();
+        let median = samples[samples.len() / 2];
+        assert!(
+            median < Duration::from_micros(2500),
+            "median connect-to-first-reply {median:?}"
+        );
+        server.shutdown();
     }
 
     #[test]
@@ -1802,6 +1537,26 @@ mod tests {
             &Frame::request(Op::UnwrapKey, 0, 6, sid, vec![0; 16]),
         );
         assert_eq!(reply.error_body(), Some((ErrorCode::Malformed, 16)));
+        // The retired FLUSH op byte and a nonzero (reserved) flags byte,
+        // on both framings: typed errors naming the offending byte.
+        for version in [PROTOCOL_V1, PROTOCOL_V2] {
+            let flush = Frame {
+                kind: 0x02,
+                ..Frame::request(Op::Ping, 0, 8, sid, Vec::new()).with_version(version)
+            };
+            let reply = call(&stream, &flush);
+            assert_eq!(reply.version, version);
+            assert_eq!(reply.error_body(), Some((ErrorCode::BadOp, 2)));
+            for (op, flags) in [(Op::EcbEncrypt, 0x01), (Op::Ping, 0x80)] {
+                let flagged =
+                    Frame::request(op, flags, 9, sid, vec![0u8; 16]).with_version(version);
+                let reply = call(&stream, &flagged);
+                assert_eq!(
+                    reply.error_body(),
+                    Some((ErrorCode::Malformed, u32::from(flags)))
+                );
+            }
+        }
         // The connection survives all of it.
         let reply = call(&stream, &Frame::request(Op::Ping, 0, 7, 0, Vec::new()));
         assert_eq!(reply.status(), Some(Status::Ok));
@@ -1995,7 +1750,9 @@ mod tests {
             &Frame::request(Op::EcbEncrypt, 0, 4, sid, vec![0u8; 16]),
         );
         assert_eq!(ct.status(), Some(Status::Ok));
-        let expected = crate::session::tests_expected_ecb(&data_key, &[0u8; 16]);
+        let mut expected = [0u8; 16];
+        rijndael::Aes128::new(&data_key.clone().try_into().unwrap())
+            .encrypt_in_place(&mut expected);
         assert_eq!(ct.payload, expected);
 
         // A tampered blob is a typed TagMismatch and leaves the current
@@ -2083,9 +1840,15 @@ mod tests {
         assert_eq!(pt.status(), Some(Status::Ok));
         assert_eq!(pt.payload, body);
 
-        // The wire op matches a locally-keyed XTS lane sector by sector.
-        let local = crate::session::tests_expected_xts(&key, 7, 20, &body);
-        assert_eq!(ct.payload, local);
+        // The wire op matches an independently keyed XTS lane (the
+        // single-key convention: both halves take the session key).
+        let k: [u8; 32] = key.clone().try_into().unwrap();
+        let local = aead::Xts::new(rijndael::Aes256::new(&k), rijndael::Aes256::new(&k));
+        let mut expect = body.clone();
+        for (i, sector) in expect.chunks_mut(20).enumerate() {
+            local.encrypt_sector(7 + i as u64, sector).unwrap();
+        }
+        assert_eq!(ct.payload, expect);
 
         // Decrypting under the wrong sector base garbles the plaintext.
         let wrong = call(

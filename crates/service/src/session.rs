@@ -1,14 +1,18 @@
 //! Per-connection sessions: key management over an engine farm.
 //!
-//! A `SET_KEY` request creates a [`Session`]: a fresh [`Engine`] farm
-//! keyed with the submitted key (every backend pays its real key-setup
-//! cycles) plus a software [`TtableAes`] for the CMAC and key-wrap ops
-//! and a dispatched [`Gcm`] lane for the authenticated-encryption ops.
-//! Keys may be 16, 24 or 32 bytes (AES-128/192/256); the modeled IP
-//! cores are AES-128-only, so longer keys divert their farm slots to
-//! the software fallback backend. The key is never echoed on the wire
-//! and the only raw copy kept is the worker pool's (it must key grown
-//! and hot-swapped workers at runtime); when the session is dropped —
+//! A `SET_KEY` request creates a [`Session`]: a fresh [`Engine`] farm and
+//! [`WorkerPool`] keyed with the submitted key (every backend pays its
+//! real key-setup cycles), plus **one** software schedule — the
+//! dispatch-selected [`AutoCipher`], shared through an [`Arc`] by every
+//! lane that runs outside the farm: CMAC, key wrap, the [`Gcm`] lane, both
+//! halves of the [`Xts`] lane and the inline bulk path. When the
+//! deployment is pinned to the batch-less `ip-core`, that schedule is the
+//! T-table kind and the bulk path stays off, so ECB/CTR still reach the
+//! farm. Keys may be 16, 24 or 32 bytes (AES-128/192/256); the modeled IP
+//! cores are AES-128-only, so longer keys divert their farm slots to the
+//! software fallback backend. The key is never echoed on the wire and
+//! the only raw copy kept is the worker pool's (it must key grown and
+//! hot-swapped workers at runtime); when the session is dropped —
 //! connection teardown, idle expiry, or a re-key replacing it — that
 //! copy and the expanded schedules wipe themselves (`rijndael::zeroize`)
 //! and the hardware backends reload an all-zero key.
@@ -18,90 +22,75 @@
 //! [`telemetry::Registry`], so the `engine.core.*` counters a `GET_STATS`
 //! reply carries aggregate over every session the server ever keyed.
 //!
-//! Deferred jobs ride the engine's bounded queue: [`Session::defer`]
-//! surfaces [`SubmitError::Busy`] untranslated so the server can answer
-//! `Busy` instead of queueing without limit, and [`Session::flush`]
-//! drains results tagged with the sequence numbers of the requests that
-//! submitted them.
-//!
-//! Pipelined (protocol v2) jobs ride the *same* bounded queue through a
-//! separate lane: [`Session::submit`] tags a job with the request's
-//! correlation id, and [`Session::collect`] drains the engine and
-//! returns every finished pipelined result in **completion order** —
-//! which across a multi-core farm is not submission order; that is the
-//! out-of-order property the v2 wire format exists to carry. The two
-//! lanes never mix: a drain triggered by either side stashes the other
-//! side's finished jobs for its own collection call, so interleaving
-//! pipelined, deferred and immediate traffic loses nothing.
+//! Jobs take one of two paths. [`Session::execute`] runs on the
+//! caller's thread: payloads of [`BULK_THRESHOLD`] bytes or more in ECB
+//! or CTR go through the shared cipher's widest batch path, everything
+//! else through the engine farm, drained at once. [`Session::submit`]
+//! (protocol v2) tags a job with the request's correlation id: a small
+//! job runs the same caller-thread path and parks its result, a bulk job
+//! goes to the worker pool, whose bounded capacity surfaces as
+//! [`SubmitError::Busy`]. [`Session::collect`] returns every finished
+//! job in **completion order** — across the pool's threads that is not
+//! submission order, which is the out-of-order property the v2 wire
+//! format exists to carry.
 
 use std::sync::Arc;
 
 use engine::{
-    BackendSpec, Engine, EngineBuilder, Error, JobError, JobId, Mode, PoolBuilder, ResizeAction,
+    BackendSpec, Engine, EngineBuilder, Error, JobId, Mode, PoolBuilder, ResizeAction,
     ResizePolicy, SubmitError, WorkerPool,
 };
 use rijndael::aead::{self, Aead, Gcm, Xts, NONCE_LEN};
-use rijndael::dispatch::Kind;
+use rijndael::dispatch::{self, Kind};
 use rijndael::modes::{Ctr, Ecb};
-use rijndael::ttable::TtableAes;
 use rijndael::{cmac, AutoCipher};
 use telemetry::Registry;
 
-/// Payload size (eight 16-byte blocks) from which immediate ECB/CTR
-/// requests bypass the engine queue and run on the session's dispatched
-/// bulk lane instead.
+/// Payload size (eight 16-byte blocks) from which ECB/CTR requests run
+/// on the session's shared dispatched cipher instead of the engine farm
+/// ([`Session::execute`]), and pipelined requests go to the worker pool
+/// ([`Session::submit`]).
 pub const BULK_THRESHOLD: usize = 8 * 16;
 
-/// One keyed session: an engine farm, a CMAC cipher, a runtime-dispatched
-/// bulk lane, and the bookkeeping for deferred jobs.
+/// One keyed session: an engine farm, a worker pool, the one shared
+/// software schedule and the bookkeeping for pipelined jobs.
 pub struct Session {
     id: u32,
     engine: Engine,
-    mac: TtableAes,
-    /// GCM lane for the SEAL/OPEN ops, keyed with the session key over
-    /// the dispatch-selected cipher (the `Ttable` kind when the
-    /// deployment is pinned to the batch-less `ip-core`).
-    aead: Gcm<AutoCipher>,
-    /// XTS lane for the sector-addressed wire ops. Single-key
-    /// convention: both the data and tweak lanes are keyed with the
-    /// session key (the wire carries exactly one key per session), so a
-    /// client can reproduce the stream with
-    /// `Xts::new(C::new(k), C::new(k))`.
-    xts: Xts<AutoCipher>,
-    /// Dispatched cipher for the bulk fast path: immediate ECB/CTR
-    /// payloads of [`BULK_THRESHOLD`] bytes or more skip the engine
-    /// queue and run here on whatever backend the startup micro-race
-    /// picked (AES-NI where the CPU has it, the bitsliced planes
-    /// otherwise). `None` when `RIJNDAEL_FORCE_BACKEND=ip-core` pins the
-    /// whole deployment to the hardware model — bulk traffic then rides
-    /// the engine farm like everything else.
-    bulk: Option<AutoCipher>,
-    /// Deferred jobs still in the engine queue: `(job, request seq)`.
-    pending: Vec<(JobId, u32)>,
-    /// Deferred jobs that were drained early because an immediate request
-    /// forced a queue drain; delivered at the next flush.
-    completed: Vec<(u32, Result<Vec<u8>, JobError>)>,
-    /// Pipelined jobs still in the engine queue: `(job, correlation id)`.
-    piped: Vec<(JobId, u32)>,
-    /// Pipelined jobs finished by an earlier drain, in completion order,
-    /// awaiting the next [`Session::collect`].
-    piped_done: Vec<(u32, Result<Vec<u8>, JobError>)>,
     /// The thread worker pool behind the pipelined *bulk* lane: v2
     /// requests of [`BULK_THRESHOLD`] bytes or more run here, off the
-    /// event-loop thread, so one large job no longer head-of-line-blocks
+    /// event-loop thread, so one large job does not head-of-line-block
     /// every connection on the shard. Worker threads spawn lazily on the
     /// first such request, so small-traffic sessions cost none.
     pool: WorkerPool,
-    /// Pool-lane jobs not yet collected: `(job, correlation id)`.
-    pool_piped: Vec<(JobId, u32)>,
+    /// The session key's one software schedule, read by CMAC, key wrap
+    /// and the bulk path; `aead` and `xts` hold clones of the same `Arc`.
+    cipher: Arc<AutoCipher>,
+    /// Whether ECB/CTR payloads of [`BULK_THRESHOLD`] bytes or more run
+    /// inline on `cipher`. Off when `RIJNDAEL_FORCE_BACKEND=ip-core` pins
+    /// the deployment to the hardware model: bulk traffic then rides the
+    /// engine farm like everything else.
+    bulk: bool,
+    /// GCM lane for the SEAL/OPEN ops.
+    aead: Gcm<Arc<AutoCipher>>,
+    /// XTS lane for the sector-addressed wire ops. Single-key
+    /// convention: the data and tweak halves are both the session key
+    /// (the wire carries exactly one key per session), so a client can
+    /// reproduce the stream with `Xts::new(C::new(k), C::new(k))`.
+    xts: Xts<Arc<AutoCipher>>,
+    /// Finished pipelined jobs awaiting [`Session::collect`], in
+    /// completion order: `(correlation id, result)`.
+    done: Vec<(u32, Result<Vec<u8>, Error>)>,
+    /// Pool jobs not yet finished: `(job, correlation id)`.
+    pool_jobs: Vec<(JobId, u32)>,
 }
 
 impl Session {
-    /// Keys a new session: builds the engine farm, the CMAC/key-wrap
-    /// cipher and the GCM lane from `key`, wiring the engine's telemetry
+    /// Keys a new session: builds the engine farm, the worker pool and
+    /// the shared software schedule from `key`, wiring their telemetry
     /// into `registry`. The caller owns (and should wipe) its copy of
-    /// the key bytes; this type keeps only expanded material, which
-    /// self-wipes on drop.
+    /// the key bytes; this type keeps only expanded material (and the
+    /// pool's copy), which self-wipes on drop.
     ///
     /// # Panics
     ///
@@ -116,11 +105,7 @@ impl Session {
         queue_capacity: usize,
         registry: &Registry,
     ) -> Session {
-        // The AEAD and XTS lanes always need a batch-capable software
-        // cipher: when the deployment is pinned to ip-core the
-        // dispatcher has no bulk selection, so they fall back to the
-        // T-table kind.
-        let aead_cipher = dispatched_cipher(key);
+        let cipher = Arc::new(dispatched_cipher(key));
         Session {
             id,
             engine: EngineBuilder::new()
@@ -128,20 +113,17 @@ impl Session {
                 .capacity(queue_capacity)
                 .registry(registry.clone())
                 .build(key),
-            mac: TtableAes::new(key).expect("key length validated by the caller"),
-            aead: Gcm::new(aead_cipher),
-            xts: Xts::new(dispatched_cipher(key), dispatched_cipher(key)),
-            bulk: AutoCipher::new(key),
-            pending: Vec::new(),
-            completed: Vec::new(),
-            piped: Vec::new(),
-            piped_done: Vec::new(),
             pool: PoolBuilder::new()
                 .cores(farm)
                 .capacity(queue_capacity)
                 .registry(registry.clone())
                 .build(key),
-            pool_piped: Vec::new(),
+            bulk: dispatch::selection().bulk != Kind::IpCore,
+            aead: Gcm::new(Arc::clone(&cipher)),
+            xts: Xts::new(Arc::clone(&cipher), Arc::clone(&cipher)),
+            cipher,
+            done: Vec::new(),
+            pool_jobs: Vec::new(),
         }
     }
 
@@ -178,154 +160,104 @@ impl Session {
         self.id
     }
 
-    /// Deferred jobs not yet delivered (queued plus drained-early).
-    #[must_use]
-    pub fn outstanding(&self) -> usize {
-        self.pending.len() + self.completed.len()
-    }
-
-    /// Pipelined jobs not yet delivered (queued plus drained-early, both
-    /// lanes) — the per-session contribution to the server's in-flight
-    /// gauge, and the server's cue to re-collect after a pool wakeup.
+    /// Pipelined jobs not yet delivered (parked plus on the pool) — the
+    /// per-session contribution to the server's in-flight gauge, and the
+    /// server's cue to collect.
     #[must_use]
     pub fn in_flight(&self) -> usize {
-        self.piped.len() + self.piped_done.len() + self.pool_piped.len()
+        self.done.len() + self.pool_jobs.len()
     }
 
-    /// The engine's queue bound (the `Busy` detail value).
-    #[must_use]
-    pub fn queue_capacity(&self) -> usize {
-        self.engine.capacity()
-    }
-
-    /// Runs one operation to completion and returns its output.
+    /// Runs one operation to completion on the caller's thread and
+    /// returns its output.
     ///
-    /// ECB and CTR payloads of [`BULK_THRESHOLD`] bytes or more take the
-    /// bulk lane: the session's dispatched cipher processes them inline
-    /// through its widest batch path, without touching the engine queue
-    /// (deferred jobs keep their slots and their ordering). Everything
-    /// else — small payloads, the chained modes, and every mode when the
-    /// deployment is pinned to `ip-core` — runs through the engine farm.
-    ///
-    /// Draining the engine may also complete deferred jobs that share the
-    /// queue; their outputs are stashed for the next [`Session::flush`],
-    /// so interleaving immediate and deferred traffic loses nothing.
+    /// ECB and CTR payloads of [`BULK_THRESHOLD`] bytes or more go
+    /// through the shared dispatched cipher's widest batch path.
+    /// Everything else — small payloads, the chained modes, and every
+    /// mode when the deployment is pinned to `ip-core` — runs through
+    /// the engine farm, which this call drains before returning.
     ///
     /// # Errors
     ///
-    /// [`Error::Submit`] when the queue is full (flush first) or the
-    /// buffer is ragged; [`Error::Job`] when a backend faults.
+    /// [`Error::Submit`] when the buffer is ragged or the IV is bad;
+    /// [`Error::Job`] when a backend faults.
     pub fn execute(&mut self, mode: Mode, mut data: Vec<u8>) -> Result<Vec<u8>, Error> {
-        if data.len() >= BULK_THRESHOLD {
-            if let Some(bulk) = &self.bulk {
-                match mode {
-                    Mode::EcbEncrypt => {
-                        Ecb::encrypt_batched(bulk, &mut data)?;
-                        return Ok(data);
-                    }
-                    Mode::EcbDecrypt => {
-                        Ecb::decrypt_batched(bulk, &mut data)?;
-                        return Ok(data);
-                    }
-                    Mode::Ctr(nonce) => {
-                        Ctr::apply_batched(bulk, &nonce, 0, &mut data);
-                        return Ok(data);
-                    }
-                    _ => {}
+        if self.bulk && data.len() >= BULK_THRESHOLD {
+            let cipher = &*self.cipher;
+            match mode {
+                Mode::EcbEncrypt => {
+                    Ecb::encrypt_batched(cipher, &mut data)?;
+                    return Ok(data);
                 }
+                Mode::EcbDecrypt => {
+                    Ecb::decrypt_batched(cipher, &mut data)?;
+                    return Ok(data);
+                }
+                Mode::Ctr(nonce) => {
+                    Ctr::apply_batched(cipher, &nonce, 0, &mut data);
+                    return Ok(data);
+                }
+                _ => {}
             }
         }
-        let id = self.engine.try_submit(mode, data)?;
-        let mut result = None;
-        for out in self.engine.run() {
-            if out.id == id {
-                result = Some(out.data);
-            } else {
-                self.stash(out.id, out.data);
-            }
-        }
-        result
-            .expect("run() drains every queued job, including the one just submitted")
-            .map_err(Error::from)
+        // Every call drains the engine, so its queue holds only this job.
+        self.engine.try_submit(mode, data)?;
+        let out = self
+            .engine
+            .run()
+            .pop()
+            .expect("run() drains the job just submitted");
+        out.data.map_err(Error::from)
     }
 
-    /// Enqueues a deferred job tagged with the request's `seq`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SubmitError`] verbatim — `Busy` here is the
-    /// backpressure signal the server forwards to the client.
-    pub fn defer(&mut self, seq: u32, mode: Mode, data: Vec<u8>) -> Result<JobId, SubmitError> {
-        let id = self.engine.try_submit(mode, data)?;
-        self.pending.push((id, seq));
-        Ok(id)
-    }
-
-    /// Drains the engine and returns every undelivered deferred result in
-    /// completion order, tagged with its submission `seq`.
-    pub fn flush(&mut self) -> Vec<(u32, Result<Vec<u8>, JobError>)> {
-        let drained = self.engine.run();
-        for out in drained {
-            self.stash(out.id, out.data);
-        }
-        std::mem::take(&mut self.completed)
-    }
-
-    /// Enqueues a pipelined job tagged with the request's correlation
-    /// id; its result surfaces from a later [`Session::collect`].
+    /// Starts a pipelined job tagged with the request's correlation id;
+    /// its result surfaces from a later [`Session::collect`].
     ///
     /// Payloads of [`BULK_THRESHOLD`] bytes or more go to the session's
     /// worker pool and execute on its threads — the event loop returns
-    /// to `poll(2)` immediately and small neighbors stop queueing behind
-    /// bulk crypto. Smaller payloads ride the engine queue as before
-    /// (the engine drains them in microseconds; handing them to another
-    /// thread would cost more than computing them).
+    /// to `poll(2)` immediately and small neighbours stop queueing behind
+    /// bulk crypto. Smaller payloads run [`Session::execute`] right here
+    /// (microseconds; handing them to another thread would cost more
+    /// than computing them) and park the result, error included.
     ///
     /// # Errors
     ///
-    /// Propagates [`SubmitError`] verbatim — `Busy` is the per-session
+    /// The pool's [`SubmitError`] verbatim — `Busy` is the per-session
     /// backpressure signal the server forwards as a typed reply.
-    pub fn submit(&mut self, corr: u32, mode: Mode, data: Vec<u8>) -> Result<JobId, SubmitError> {
-        if data.len() >= BULK_THRESHOLD {
+    pub fn submit(&mut self, corr: u32, mode: Mode, data: Vec<u8>) -> Result<(), SubmitError> {
+        if data.len() < BULK_THRESHOLD {
+            let result = self.execute(mode, data);
+            self.done.push((corr, result));
+        } else {
             let id = self.pool.try_submit(mode, data)?;
-            self.pool_piped.push((id, corr));
-            return Ok(id);
+            self.pool_jobs.push((id, corr));
         }
-        let id = self.engine.try_submit(mode, data)?;
-        self.piped.push((id, corr));
-        Ok(id)
+        Ok(())
     }
 
-    /// Drains both pipelined lanes — the inline engine and the thread
-    /// pool — and returns every finished result in completion order,
-    /// tagged with its correlation id. Deferred jobs completed by the
-    /// same drain are stashed for the next flush.
-    pub fn collect(&mut self) -> Vec<(u32, Result<Vec<u8>, JobError>)> {
-        if !self.piped.is_empty() {
-            let drained = self.engine.run();
-            for out in drained {
-                self.stash(out.id, out.data);
-            }
-        }
+    /// Returns every finished pipelined job in completion order, tagged
+    /// with its correlation id. Never blocks: pool jobs still running
+    /// stay in flight for a later call.
+    pub fn collect(&mut self) -> Vec<(u32, Result<Vec<u8>, Error>)> {
         while let Some(out) = self.pool.try_collect() {
-            if let Some(pos) = self.pool_piped.iter().position(|&(jid, _)| jid == out.id) {
-                let (_, corr) = self.pool_piped.remove(pos);
-                self.piped_done.push((corr, out.data));
+            if let Some(pos) = self.pool_jobs.iter().position(|&(id, _)| id == out.id) {
+                let (_, corr) = self.pool_jobs.remove(pos);
+                self.done.push((corr, out.data.map_err(Error::from)));
             }
         }
-        std::mem::take(&mut self.piped_done)
+        std::mem::take(&mut self.done)
     }
 
     /// Computes the AES-CMAC tag of `message` under the session key.
     #[must_use]
     pub fn cmac_tag(&self, message: &[u8]) -> [u8; 16] {
-        cmac::cmac(&self.mac, message)
+        cmac::cmac(&*self.cipher, message)
     }
 
     /// Constant-time verification of an AES-CMAC tag.
     #[must_use]
     pub fn cmac_verify(&self, message: &[u8], tag: &[u8; 16]) -> bool {
-        cmac::verify(&self.mac, message, tag)
+        cmac::verify(&*self.cipher, message, tag)
     }
 
     /// AES-GCM seal under the session key: returns ciphertext ‖ tag.
@@ -387,7 +319,7 @@ impl Session {
     /// [`aead::Error::BadWrapLength`] unless `key_data` is at least 16
     /// bytes and a multiple of 8.
     pub fn wrap_key(&self, key_data: &[u8]) -> Result<Vec<u8>, aead::Error> {
-        aead::wrap(&self.mac, key_data)
+        aead::wrap(&*self.cipher, key_data)
     }
 
     /// RFC 3394 key unwrap with the session key as the KEK.
@@ -397,64 +329,24 @@ impl Session {
     /// [`aead::Error::TagMismatch`] when the integrity check fails;
     /// [`aead::Error::BadWrapLength`] on an impossible blob length.
     pub fn unwrap_key(&self, wrapped: &[u8]) -> Result<Vec<u8>, aead::Error> {
-        aead::unwrap(&self.mac, wrapped)
-    }
-
-    fn stash(&mut self, id: JobId, data: Result<Vec<u8>, JobError>) {
-        if let Some(pos) = self.pending.iter().position(|&(jid, _)| jid == id) {
-            let (_, seq) = self.pending.remove(pos);
-            self.completed.push((seq, data));
-        } else if let Some(pos) = self.piped.iter().position(|&(jid, _)| jid == id) {
-            let (_, corr) = self.piped.remove(pos);
-            self.piped_done.push((corr, data));
-        }
+        aead::unwrap(&*self.cipher, wrapped)
     }
 }
 
-/// The dispatch-selected software cipher for the session's non-engine
-/// lanes, falling back to the always-available T-table kind when the
-/// deployment is pinned to the batch-less `ip-core`.
+/// The dispatch-selected software cipher, falling back to the
+/// always-available T-table kind when the deployment is pinned to the
+/// batch-less `ip-core` (GCM, XTS, CMAC and key wrap still need one).
 fn dispatched_cipher(key: &[u8]) -> AutoCipher {
     AutoCipher::new(key).unwrap_or_else(|| {
         AutoCipher::for_kind(Kind::Ttable, key).expect("the T-table kind is always available")
     })
 }
 
-/// Test oracle: one ECB block under `key`, computed outside any
-/// session so server tests can check the wire answer independently.
-#[cfg(test)]
-pub(crate) fn tests_expected_ecb(key: &[u8], block: &[u8; 16]) -> Vec<u8> {
-    use rijndael::BlockCipher;
-    let cipher = dispatched_cipher(key);
-    let mut out = *block;
-    cipher.encrypt_in_place(&mut out);
-    out.to_vec()
-}
-
-/// Test oracle: the XTS stream for `body` carved into `sector_size`
-/// sectors starting at `sector_base`, built from a fresh lane exactly
-/// as [`Session::new`] builds its own.
-#[cfg(test)]
-pub(crate) fn tests_expected_xts(
-    key: &[u8],
-    sector_base: u64,
-    sector_size: usize,
-    body: &[u8],
-) -> Vec<u8> {
-    let lane = Xts::new(dispatched_cipher(key), dispatched_cipher(key));
-    let mut out = body.to_vec();
-    for (i, sector) in out.chunks_mut(sector_size).enumerate() {
-        lane.encrypt_sector(sector_base.wrapping_add(i as u64), sector)
-            .expect("oracle sectors are well-formed");
-    }
-    out
-}
-
 impl std::fmt::Debug for Session {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Session")
             .field("id", &self.id)
-            .field("outstanding", &self.outstanding())
+            .field("in_flight", &self.in_flight())
             .finish()
     }
 }
@@ -535,6 +427,18 @@ mod tests {
         (0..len).map(|i| (i * 13 + 1) as u8).collect()
     }
 
+    /// Collects until `want` results arrived (pool jobs finish on other
+    /// threads), failing after ten seconds.
+    fn collect_n(s: &mut Session, want: usize) -> Vec<(u32, Result<Vec<u8>, Error>)> {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        let mut got = Vec::new();
+        while got.len() < want && std::time::Instant::now() < deadline {
+            got.extend(s.collect());
+        }
+        assert_eq!(got.len(), want, "every pipelined job delivers");
+        got
+    }
+
     #[test]
     fn execute_matches_the_software_reference() {
         let mut s = session(8);
@@ -582,7 +486,7 @@ mod tests {
     }
 
     #[test]
-    fn bulk_lane_rejects_ragged_ecb_and_skips_the_engine_queue() {
+    fn bulk_lane_rejects_ragged_ecb() {
         let mut s = session(2);
         assert_eq!(
             s.execute(Mode::EcbEncrypt, sample(BULK_THRESHOLD + 1)),
@@ -590,31 +494,19 @@ mod tests {
                 len: BULK_THRESHOLD + 1
             }))
         );
-
-        // A deferred job keeps its queue slot and its pending status
-        // while bulk traffic streams past it.
-        s.defer(9, Mode::CbcEncrypt([0; 16]), sample(16)).unwrap();
-        let _ = s.execute(Mode::EcbEncrypt, sample(BULK_THRESHOLD)).unwrap();
-        assert_eq!(s.outstanding(), 1);
-        let results = s.flush();
-        assert_eq!(results.len(), 1);
-        assert_eq!(results[0].0, 9);
     }
 
     #[test]
-    fn defer_then_flush_returns_results_tagged_by_seq() {
-        let mut s = session(8);
-        s.defer(100, Mode::EcbEncrypt, sample(32)).unwrap();
-        s.defer(200, Mode::Ctr([1; 16]), sample(5)).unwrap();
-        assert_eq!(s.outstanding(), 2);
-
-        let results = s.flush();
-        assert_eq!(results.len(), 2);
-        assert_eq!(results[0].0, 100);
-        assert_eq!(results[1].0, 200);
-        assert!(results.iter().all(|(_, r)| r.is_ok()));
-        assert_eq!(s.outstanding(), 0);
-        assert!(s.flush().is_empty(), "flush is idempotent once drained");
+    fn every_software_lane_shares_one_schedule_and_drop_releases_it() {
+        let s = session(8);
+        let schedule = Arc::clone(&s.cipher);
+        // The session's own handle, the GCM lane and both XTS halves
+        // (CMAC, key wrap and the bulk path read the session's handle),
+        // plus this test's.
+        assert_eq!(Arc::strong_count(&schedule), 5);
+        drop(s);
+        // Ours is the last handle: dropping it runs the schedule's wipe.
+        assert_eq!(Arc::strong_count(&schedule), 1);
     }
 
     #[test]
@@ -624,14 +516,11 @@ mod tests {
         s.submit(0xA1, Mode::EcbEncrypt, sample(32)).unwrap();
         s.submit(0xB2, Mode::Ctr([1; 16]), sample(5)).unwrap();
         assert_eq!(s.in_flight(), 2);
-        assert_eq!(s.outstanding(), 0, "pipelined jobs are not deferred");
 
         let results = s.collect();
         assert_eq!(s.in_flight(), 0);
         let tags: Vec<u32> = results.iter().map(|&(c, _)| c).collect();
-        let mut sorted = tags.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![0xA1, 0xB2]);
+        assert_eq!(tags, vec![0xA1, 0xB2], "small jobs finish in order");
         for (corr, data) in results {
             let data = data.unwrap();
             if corr == 0xA1 {
@@ -648,29 +537,14 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_and_deferred_lanes_never_mix() {
+    fn small_submit_failures_are_parked_for_collect() {
         let mut s = session(8);
-        s.defer(100, Mode::EcbEncrypt, sample(16)).unwrap();
-        s.submit(7, Mode::EcbEncrypt, sample(16)).unwrap();
-        // Collect drains the whole engine, but the deferred result must
-        // wait for its flush, and vice versa.
-        let piped = s.collect();
-        assert_eq!(piped.len(), 1);
-        assert_eq!(piped[0].0, 7);
-        assert_eq!(s.in_flight(), 0);
-        assert_eq!(s.outstanding(), 1);
-        let deferred = s.flush();
-        assert_eq!(deferred.len(), 1);
-        assert_eq!(deferred[0].0, 100);
-
-        // And a flush-triggered drain stashes pipelined completions.
-        s.submit(8, Mode::Ctr([0; 16]), sample(3)).unwrap();
-        s.defer(200, Mode::EcbDecrypt, sample(16)).unwrap();
-        assert_eq!(s.flush().len(), 1);
-        assert_eq!(s.in_flight(), 1, "finished but uncollected");
-        let piped = s.collect();
-        assert_eq!(piped.len(), 1);
-        assert_eq!(piped[0].0, 8);
+        assert_eq!(s.submit(5, Mode::EcbEncrypt, sample(17)), Ok(()));
+        let results = s.collect();
+        assert_eq!(
+            results,
+            vec![(5, Err(Error::Submit(SubmitError::RaggedLength { len: 17 })))]
+        );
     }
 
     #[test]
@@ -683,12 +557,7 @@ mod tests {
         s.submit(0x5A1, Mode::EcbEncrypt, small.clone()).unwrap();
         assert_eq!(s.in_flight(), 2);
 
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        let mut got = Vec::new();
-        while got.len() < 2 && std::time::Instant::now() < deadline {
-            got.extend(s.collect());
-        }
-        assert_eq!(got.len(), 2, "both lanes deliver");
+        let got = collect_n(&mut s, 2);
         assert_eq!(s.in_flight(), 0);
         for (corr, data) in got {
             let mut expect = if corr == 0xB16 {
@@ -712,12 +581,7 @@ mod tests {
         }));
         s.submit(1, Mode::Ctr([0; 16]), sample(BULK_THRESHOLD))
             .unwrap();
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        let mut got = Vec::new();
-        while got.is_empty() && std::time::Instant::now() < deadline {
-            got.extend(s.collect());
-        }
-        assert_eq!(got.len(), 1);
+        collect_n(&mut s, 1);
         assert_eq!(fired.load(Ordering::SeqCst), 1);
     }
 
@@ -745,49 +609,25 @@ mod tests {
     }
 
     #[test]
-    fn busy_surfaces_at_the_submit_boundary() {
-        let mut s = session(2);
-        s.submit(1, Mode::Ctr([0; 16]), sample(4)).unwrap();
-        s.submit(2, Mode::EcbEncrypt, sample(16)).unwrap();
+    fn busy_surfaces_at_the_pool_submit_boundary() {
+        // Paced cores keep the first two bulk jobs open long enough for
+        // the third to meet a full pool.
+        let paced = [BackendSpec::Paced {
+            block_ns: 1_000_000,
+        }];
+        let mut s = Session::new(1, &KEY, &paced, 2, &Registry::new());
+        let bulk = sample(BULK_THRESHOLD);
+        s.submit(1, Mode::EcbEncrypt, bulk.clone()).unwrap();
+        s.submit(2, Mode::EcbEncrypt, bulk.clone()).unwrap();
         assert_eq!(
-            s.submit(3, Mode::EcbEncrypt, sample(16)),
+            s.submit(3, Mode::EcbEncrypt, bulk.clone()),
             Err(SubmitError::Busy { capacity: 2 })
         );
-        assert_eq!(s.collect().len(), 2);
-        assert!(s.submit(3, Mode::EcbEncrypt, sample(16)).is_ok());
-    }
-
-    #[test]
-    fn busy_surfaces_at_the_defer_boundary() {
-        let mut s = session(2);
-        s.defer(1, Mode::Ctr([0; 16]), sample(4)).unwrap();
-        s.defer(2, Mode::CbcEncrypt([0; 16]), sample(16)).unwrap();
-        assert_eq!(
-            s.defer(3, Mode::EcbEncrypt, sample(16)),
-            Err(SubmitError::Busy { capacity: 2 })
-        );
-        assert_eq!(s.queue_capacity(), 2);
-        // Flushing frees the queue again.
-        assert_eq!(s.flush().len(), 2);
-        assert!(s.defer(3, Mode::EcbEncrypt, sample(16)).is_ok());
-    }
-
-    #[test]
-    fn immediate_execute_with_pending_jobs_stashes_their_results() {
-        let mut s = session(8);
-        s.defer(7, Mode::EcbEncrypt, sample(16)).unwrap();
-        // The immediate op forces a drain; the deferred result must not
-        // be lost, only delayed until the flush.
-        let _ = s.execute(Mode::Ctr([3; 16]), sample(10)).unwrap();
-        assert_eq!(s.outstanding(), 1);
-        let results = s.flush();
-        assert_eq!(results.len(), 1);
-        assert_eq!(results[0].0, 7);
-
-        let reference = Aes128::new(&KEY);
-        let mut expect = sample(16);
-        Ecb::encrypt(&reference, &mut expect).unwrap();
-        assert_eq!(results[0].1.as_ref().unwrap(), &expect);
+        // Small jobs run on the caller's thread and never meet the bound.
+        assert_eq!(s.submit(4, Mode::EcbEncrypt, sample(16)), Ok(()));
+        assert_eq!(collect_n(&mut s, 3).len(), 3);
+        assert!(s.submit(3, Mode::EcbEncrypt, bulk).is_ok());
+        collect_n(&mut s, 1);
     }
 
     #[test]
@@ -797,7 +637,7 @@ mod tests {
             s.execute(Mode::EcbEncrypt, sample(17)),
             Err(Error::Submit(SubmitError::RaggedLength { len: 17 }))
         );
-        assert_eq!(s.outstanding(), 0);
+        assert_eq!(s.in_flight(), 0);
     }
 
     #[test]
@@ -943,13 +783,13 @@ mod tests {
         let a = slot.rekey(&KEY, &farm(), 4, &reg);
         slot.session_mut()
             .unwrap()
-            .defer(1, Mode::EcbEncrypt, sample(16))
+            .submit(1, Mode::EcbEncrypt, sample(16))
             .unwrap();
         let b = slot.rekey(&[5u8; 16], &farm(), 4, &reg);
         assert_ne!(a, b);
         assert_ne!(b, 0);
-        // The pending job died with the old session.
-        assert_eq!(slot.session_mut().unwrap().outstanding(), 0);
+        // The uncollected job died with the old session.
+        assert_eq!(slot.session_mut().unwrap().in_flight(), 0);
         // And the new session really uses the new key.
         let ct = slot
             .session_mut()

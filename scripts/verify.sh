@@ -92,6 +92,12 @@ grep -E -q "dispatch p50 [0-9]+ us, p99 >?[0-9]+ us" "$load_out" \
     || { echo "service_load did not report event-loop p50/p99" >&2; exit 1; }
 rm -f "$load_out"
 
+echo "==> serving-stack benchmark (builds against the service API + its unit tests)"
+# servebench is a cargo root of its own (not a workspace member), so the
+# workspace steps above never compile it.
+cargo build -q --release --locked --offline --manifest-path servebench/Cargo.toml
+cargo test -q --release --locked --offline --manifest-path servebench/Cargo.toml
+
 echo "==> cluster subsystem tests (ring, router, drain migration, node loss)"
 cargo test -q -p rijndael-cluster --locked --offline
 

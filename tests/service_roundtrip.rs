@@ -1,15 +1,17 @@
 //! End-to-end exercise of the framed TCP service: concurrent clients
-//! against published KATs, typed `Busy` backpressure, session
-//! lifecycle, and graceful shutdown with the deferred queue drained.
+//! against published KATs, typed `Busy` backpressure on the pipelined
+//! bulk lane, session lifecycle, and graceful shutdown answering a bulk
+//! job still executing.
 
 use std::net::TcpStream;
 use std::thread;
 use std::time::Duration;
 
 use rijndael_ip::engine::BackendSpec;
-use rijndael_ip::service::client::{Client, ClientError, SubmitOutcome};
-use rijndael_ip::service::protocol::{ErrorCode, Frame, Op, Status};
+use rijndael_ip::service::client::{Client, ClientError};
+use rijndael_ip::service::protocol::{ErrorCode, Frame, Op};
 use rijndael_ip::service::server::{Server, ServiceConfig};
+use rijndael_ip::service::session::BULK_THRESHOLD;
 use rijndael_ip::service::Transport;
 
 /// Pulls one counter's value out of a `telemetry/1` JSON document with
@@ -146,46 +148,56 @@ fn four_concurrent_clients_roundtrip_published_kats() {
     server.shutdown();
 }
 
+/// A farm whose cores hold each bulk job open for about 80 ms (8
+/// blocks at 10 ms), so pipelined requests find the pool lane busy.
+fn paced_farm() -> Vec<BackendSpec> {
+    vec![BackendSpec::Paced {
+        block_ns: 10_000_000,
+    }]
+}
+
+/// Eight SP 800-38A blocks (the four-block stream twice): exactly
+/// `BULK_THRESHOLD`, so a pipelined ECB request takes the pool lane.
+fn bulk_ecb_vector() -> (Vec<u8>, Vec<u8>) {
+    let (pt, ct) = (hex(SP800_PT).repeat(2), hex(SP800_ECB_CT).repeat(2));
+    assert!(pt.len() >= BULK_THRESHOLD);
+    (pt, ct)
+}
+
 #[test]
-fn busy_backpressure_surfaces_and_flush_recovers() {
-    let server = spawn_server(vec![BackendSpec::Software], 2);
+fn busy_backpressure_surfaces_and_a_finished_job_frees_a_slot() {
+    let server = spawn_server(paced_farm(), 2);
     let mut client = Client::connect(server.local_addr()).expect("connect");
     client.set_key(&hex16(SP800_KEY)).expect("SET_KEY");
 
-    let pt = hex(SP800_PT);
-    let a = match client.try_submit(Op::EcbEncrypt, None, &pt).unwrap() {
-        SubmitOutcome::Accepted(seq) => seq,
-        other => panic!("first submission bounced: {other:?}"),
-    };
-    let icb = hex16(SP800_CTR_ICB);
-    let b = match client.try_submit(Op::CtrApply, Some(&icb), &pt).unwrap() {
-        SubmitOutcome::Accepted(seq) => seq,
-        other => panic!("second submission bounced: {other:?}"),
-    };
-
-    // The queue (capacity 2) is full: the reply is a typed Busy carrying
-    // the capacity, not a disconnect and not an unbounded queue.
-    assert_eq!(
-        client.try_submit(Op::EcbEncrypt, None, &pt).unwrap(),
-        SubmitOutcome::Busy { capacity: 2 }
-    );
+    let (pt, ct) = bulk_ecb_vector();
+    let corrs: Vec<u32> = (0..3)
+        .map(|_| {
+            client
+                .pipeline(Op::EcbEncrypt, None, &pt)
+                .expect("pipeline")
+        })
+        .collect();
+    let mut jobs = client.collect_all().expect("collect");
+    jobs.sort_by_key(|job| job.corr);
+    assert_eq!(jobs.iter().map(|job| job.corr).collect::<Vec<_>>(), corrs);
+    assert_eq!(jobs[0].result, Ok(ct.clone()));
+    assert_eq!(jobs[1].result, Ok(ct.clone()));
+    // Both slots (capacity 2) were taken by executing jobs: the third
+    // reply is a typed Busy carrying the capacity, not a disconnect and
+    // not an unbounded queue.
+    assert_eq!(jobs[2].result, Err((ErrorCode::Busy, 2)));
     // And the connection is fully usable afterwards.
     assert_eq!(client.ping(b"still here").unwrap(), b"still here");
 
-    let jobs = client.flush().expect("flush");
-    assert_eq!(jobs.len(), 2);
-    assert_eq!(jobs[0].seq, a);
-    assert_eq!(jobs[0].result.as_ref().unwrap(), &hex(SP800_ECB_CT));
-    assert_eq!(jobs[1].seq, b);
-    assert_eq!(jobs[1].result.as_ref().unwrap(), &hex(SP800_CTR_CT));
-
-    // The drain freed the queue: the bounced job now goes through.
-    assert!(matches!(
-        client.try_submit(Op::EcbEncrypt, None, &pt).unwrap(),
-        SubmitOutcome::Accepted(_)
-    ));
-    let jobs = client.flush().expect("flush");
-    assert_eq!(jobs.len(), 1);
+    // The finished jobs freed their slots: the bounced job now goes
+    // through.
+    let corr = client
+        .pipeline(Op::EcbEncrypt, None, &pt)
+        .expect("pipeline");
+    let job = client.collect_next().expect("collect");
+    assert_eq!(job.corr, corr);
+    assert_eq!(job.result, Ok(ct));
     server.shutdown();
 }
 
@@ -285,27 +297,33 @@ fn stale_sessions_are_rejected_after_rekey() {
 }
 
 #[test]
-fn graceful_shutdown_drains_deferred_jobs_and_says_goodbye() {
-    let server = spawn_server(vec![BackendSpec::Software], 4);
+fn graceful_shutdown_answers_an_executing_bulk_job_before_the_goodbye() {
+    let server = spawn_server(paced_farm(), 2);
     let addr = server.local_addr();
     let mut client = Client::connect(addr).expect("connect");
     client.set_key(&hex16(SP800_KEY)).expect("SET_KEY");
 
-    let pt = hex(SP800_PT);
-    let seq = match client.try_submit(Op::EcbEncrypt, None, &pt).unwrap() {
-        SubmitOutcome::Accepted(seq) => seq,
-        other => panic!("submission bounced: {other:?}"),
-    };
+    let (pt, ct) = bulk_ecb_vector();
+    let corr = client
+        .pipeline(Op::EcbEncrypt, None, &pt)
+        .expect("pipeline");
+    // The ping's reply proves the server dispatched the bulk request
+    // before it; the gauge shows the job still executing on the pool.
+    assert_eq!(client.ping(b"").unwrap(), b"");
+    let inflight = server
+        .registry()
+        .snapshot()
+        .gauge("service.pipeline.inflight");
+    assert_eq!(inflight, Some(1));
 
-    // Shutdown with the job still queued: the worker must flush it and
-    // deliver its Data reply before the goodbye. shutdown() returning
+    // Shutdown with the job still executing: the shard must wait it out
+    // and deliver its reply before the goodbye. shutdown() returning
     // proves every server thread joined — no leaks, no panics.
     server.shutdown();
 
-    let data = client.recv_raw().expect("drained job reply");
-    assert_eq!(data.status(), Some(Status::Data));
-    assert_eq!(data.seq, seq);
-    assert_eq!(data.payload, hex(SP800_ECB_CT));
+    let job = client.collect_next().expect("drained job reply");
+    assert_eq!(job.corr, corr);
+    assert_eq!(job.result, Ok(ct));
 
     let goodbye = client.recv_raw().expect("goodbye frame");
     assert_eq!(goodbye.error_body(), Some((ErrorCode::ShuttingDown, 0)));
