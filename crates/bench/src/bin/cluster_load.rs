@@ -1,14 +1,18 @@
 //! Cluster-level load gate, in three acts:
 //!
-//! 1. **Node scaling** — the same synchronous CTR workload runs against
-//!    a 1-node and a 3-node cluster of real child processes, each node a
-//!    `service` with one paced core (`BackendSpec::Paced`) and a single
-//!    event thread. The clients speak wire v1, so every request runs
-//!    inline on its node's event loop — a node is one serial crypto
-//!    pipe, exactly the paper's one-IP-per-device deployment — and the
-//!    run asserts ≥ 2.5x aggregate throughput from 1 → 3 nodes. Pacing
-//!    makes the figure portable: modeled block time dominates, and it
-//!    overlaps across *processes* the way independent devices would.
+//! 1. **Node scaling** — the same fixed set of pipelined bulk CTR ops
+//!    runs against a 1-node and a 3-node cluster of real child
+//!    processes, each node a `service` whose farm is one paced core
+//!    (`BackendSpec::Paced`). Every op is a v2 request of
+//!    `BULK_THRESHOLD` bytes, so it runs on its session's worker pool —
+//!    the only lane a service farm serves. A farm belongs to a session,
+//!    so the load holds exactly one session per node, each driven by its
+//!    own client thread with a bounded window in flight: a node is then
+//!    one serial crypto pipe, the paper's one-IP-per-device deployment,
+//!    and the ops are split evenly across the nodes. The run asserts
+//!    ≥ 2.5x aggregate throughput from 1 → 3 nodes. Pacing makes the
+//!    figure portable: modeled block time dominates, and it overlaps
+//!    across nodes the way independent devices would.
 //! 2. **Drain under load** — with pipelined (v2) traffic in flight, the
 //!    session's home node is drained. The run asserts every accepted
 //!    job is delivered exactly once after the migration: zero loss.
@@ -34,6 +38,7 @@ use cluster::{ClusterClient, NodeProcess};
 use engine::BackendSpec;
 use service::protocol::Op;
 use service::server::ServiceConfig;
+use service::session::BULK_THRESHOLD;
 use service::Transport;
 use telemetry::Registry;
 
@@ -44,9 +49,13 @@ const BLOCK_NS: u32 = 50_000;
 /// from an HSM; the bench just needs all nodes keyed alike).
 const KEK: [u8; 16] = *b"bench-cluster-kk";
 
-/// One synchronous op's payload: 4 blocks, comfortably under the bulk
-/// threshold so it rides the paced engine, not the host's SIMD lane.
+/// The drain act's pipelined op payload: 4 blocks, under the bulk
+/// threshold, so those ops run on the node's event loop.
 const OP_BYTES: usize = 64;
+
+/// Act 1's requests in flight per session: enough to keep its paced
+/// core busy, well under the default per-session pool capacity.
+const WINDOW: usize = 8;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -56,8 +65,7 @@ fn main() {
     }
     let smoke = args.iter().any(|a| a == "--smoke")
         || std::env::var("TESTKIT_BENCH_SMOKE").is_ok_and(|v| v == "1");
-    let threads: usize = 6;
-    let ops: usize = if smoke { 60 } else { 200 };
+    let ops: usize = if smoke { 180 } else { 600 };
     let depth: usize = if smoke { 32 } else { 128 };
 
     let report = Registry::new();
@@ -65,7 +73,7 @@ fn main() {
 
     // Act 1: aggregate throughput, 1 node vs 3 nodes.
     println!(
-        "Cluster scaling — {threads} client threads x {ops} CTR ops x {OP_BYTES} B, paced nodes at {BLOCK_NS} ns/block\n"
+        "Cluster scaling — {ops} pipelined CTR ops x {BULK_THRESHOLD} B, one session per node (window {WINDOW}), paced nodes at {BLOCK_NS} ns/block\n"
     );
     println!(
         "{:<7} {:>12} {:>12} {:>9}",
@@ -77,8 +85,8 @@ fn main() {
     for n in [1usize, 3] {
         let fleet = spawn_fleet(n);
         let addrs: Vec<SocketAddr> = fleet.iter().map(|p| p.addr()).collect();
-        let wall = drive_load(&addrs, threads, ops);
-        let rate = (threads * ops) as f64 / wall;
+        let wall = drive_load(&addrs, ops);
+        let rate = ops as f64 / wall;
         let scale = rates.first().map_or(1.0, |&r1: &f64| rate / r1);
         println!("{n:<7} {:>12.1} {:>12.0} {scale:>8.2}x", wall * 1e3, rate);
         report
@@ -101,7 +109,7 @@ fn main() {
     let fleet3 = fleets.pop().expect("3-node fleet is live");
     let addrs: Vec<SocketAddr> = fleet3.iter().map(|p| p.addr()).collect();
     drain_under_load(&report, &addrs, depth);
-    fleet_audit(&report, &addrs, threads * ops, depth);
+    fleet_audit(&report, &addrs, ops, depth);
 
     let doc = report.snapshot().to_json();
     let path =
@@ -146,35 +154,50 @@ fn spawn_fleet(n: usize) -> Vec<NodeProcess> {
         .collect()
 }
 
-/// Runs `threads` clients, each with its own v1 `ClusterClient` and its
-/// own session pinned (by re-rolling placement) to node `t % n`, each
-/// performing `ops` synchronous CTR ops. Returns the aggregate wall
-/// time in seconds.
-fn drive_load(addrs: &[SocketAddr], threads: usize, ops: usize) -> f64 {
+/// Splits `ops` pipelined bulk CTR ops evenly over one client thread
+/// per node, each with its own v2 `ClusterClient` and one session
+/// pinned (by re-rolling placement) to its node, keeping up to
+/// [`WINDOW`] requests in flight. Returns the aggregate wall time in
+/// seconds.
+fn drive_load(addrs: &[SocketAddr], ops: usize) -> f64 {
     let n = addrs.len();
-    let barrier = Arc::new(Barrier::new(threads + 1));
-    let mut workers = Vec::with_capacity(threads);
-    for t in 0..threads {
+    let barrier = Arc::new(Barrier::new(n + 1));
+    let mut workers = Vec::with_capacity(n);
+    for want in 0..n {
         let addrs = addrs.to_vec();
         let barrier = Arc::clone(&barrier);
+        let share = ops / n + usize::from(want < ops % n);
         workers.push(thread::spawn(move || {
-            let mut fleet = ClusterClient::connect_v1(&addrs, &KEK).expect("cluster connects");
-            // Deterministic even spread: open sessions until one lands
-            // on this thread's target node (the ring is deterministic,
-            // so every thread converges in a handful of labels).
-            let want = t % n;
-            let key = [t as u8 + 1; 16];
+            let mut fleet = ClusterClient::connect(&addrs, &KEK).expect("cluster connects");
+            // Open sessions until one lands on this thread's node (the
+            // ring is deterministic, so every thread converges in a
+            // handful of labels). The misses never see a bulk job, so
+            // their pools never start.
+            let key = [want as u8 + 1; 16];
             for _ in 0..64 {
                 let label = fleet.open_session(&key).expect("session opens");
                 if fleet.session_node(label) == Some(want) {
                     break;
                 }
             }
-            let payload = [0x6Bu8; OP_BYTES];
-            let ctr = [t as u8; 16];
+            assert_eq!(
+                fleet.session_node(fleet.current_session().expect("opened")),
+                Some(want)
+            );
+            let payload = [0x6Bu8; BULK_THRESHOLD];
+            let ctr = [want as u8; 16];
             barrier.wait();
-            for _ in 0..ops {
-                fleet.ctr_apply(&ctr, &payload).expect("paced ctr op");
+            let (mut sent, mut done) = (0, 0);
+            while done < share {
+                while sent < share && sent - done < WINDOW {
+                    fleet
+                        .pipeline(Op::CtrApply, Some(&ctr), &payload)
+                        .expect("pipelined submit");
+                    sent += 1;
+                }
+                let job = fleet.collect_next().expect("collect");
+                job.result.expect("paced ctr op");
+                done += 1;
             }
         }));
     }

@@ -113,7 +113,9 @@ fn check() {
     let key = [0x2Bu8; 16];
     let mut client = Client::connect(server.local_addr()).expect("connect");
     client.set_key(&key).expect("SET_KEY");
-    // Small payload rides the engine farm; bulk rides the session lane.
+    // Small payload runs on the session's shared schedule; the bulk v2
+    // request rides the worker pool, whose Auto slots publish the
+    // per-core telemetry checked below.
     client.ecb_encrypt(&[0u8; 16]).expect("small ECB");
     client.ecb_encrypt(&[0u8; 64 * 16]).expect("bulk ECB");
     let stats = client.stats().expect("GET_STATS");

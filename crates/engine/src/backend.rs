@@ -237,10 +237,10 @@ impl From<StreamError> for BackendError {
 
 /// One farm member: a block processor with a virtual-time cost model.
 ///
-/// The trait is object-safe; the scheduler holds `Box<dyn Backend>`.
-/// `Send` is a supertrait so a whole [`Engine`](crate::Engine) can move
-/// into a worker thread — the TCP service crate builds one engine per
-/// connection handler this way.
+/// The trait is object-safe; both schedulers hold `Box<dyn Backend>`.
+/// `Send` is a supertrait because the [`WorkerPool`](crate::WorkerPool)
+/// moves each backend into the worker thread that owns it (and a whole
+/// [`Engine`](crate::Engine) may move between threads too).
 pub trait Backend: Send {
     /// Short stable name for metrics and reports.
     fn name(&self) -> &'static str;

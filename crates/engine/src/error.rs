@@ -1,6 +1,6 @@
 //! Crate-level error hierarchy for the engine.
 //!
-//! The scheduler reports failures at two boundaries — submission
+//! Both schedulers report failures at two boundaries — submission
 //! ([`SubmitError`]: the job never entered the queue) and execution
 //! ([`JobError`]: the job ran and faulted). [`Error`] unifies both so a
 //! caller that just wants "did my request work" matches one type; the
@@ -13,7 +13,7 @@ use core::fmt;
 use aes_ip::bus::StreamError;
 
 use crate::backend::BackendError;
-use crate::scheduler::{JobError, SubmitError};
+use crate::job::{JobError, SubmitError};
 
 /// Any failure the engine can report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -9,26 +9,31 @@
 //!   devices (encrypt / decrypt / combined, behind their cycle-accurate
 //!   bus drivers) and two software implementations ([`rijndael::Aes128`],
 //!   the T-table variant) behind one fallible, cost-accounted face;
-//! * [`scheduler`] — the [`Engine`], assembled by [`EngineBuilder`]: a
-//!   bounded job queue with backpressure ([`Engine::try_submit`] returns
-//!   [`SubmitError::Busy`]), sharding of parallel modes (ECB, CTR) across
-//!   every capable core, and single-core routing for chained modes (CBC,
-//!   CFB, OFB) through the object-safe [`rijndael::Mode`] trait;
-//! * [`pool`] — the [`WorkerPool`]: the wall-clock counterpart of the
-//!   engine — each core owned by an OS worker thread with a local deque,
-//!   work-stealing between siblings, completions over a channel, and an
-//!   elastic control plane ([`WorkerPool::add_core`] /
-//!   [`WorkerPool::remove_core`] / [`WorkerPool::swap_core`], plus
-//!   telemetry-driven [`WorkerPool::autoscale_tick`] under a
-//!   [`ResizePolicy`]);
+//! * [`job`] — the one job model both schedulers run: the [`Mode`] and
+//!   job vocabulary, the [`FarmBuilder`] configuration, the bounded
+//!   admission gate ([`SubmitError::Busy`], the ragged check and their
+//!   counters), the 8-block granule shard planner, the span executor
+//!   (chained modes through the object-safe [`rijndael::Mode`] trait)
+//!   and the per-core telemetry pusher;
+//! * [`scheduler`] — the [`Engine`], assembled by [`EngineBuilder`]: the
+//!   deterministic virtual-time farm that drains its queue on the
+//!   caller's thread, routes chained modes to the core with the fewest
+//!   cycles on its clock and records per-job latency in cycles;
+//! * [`pool`] — the [`WorkerPool`], assembled by [`PoolBuilder`]: the
+//!   wall-clock counterpart — each core owned by an OS worker thread
+//!   with a local deque, work-stealing between siblings, completions
+//!   over a channel, and an elastic control plane
+//!   ([`WorkerPool::add_core`] / [`WorkerPool::remove_core`] /
+//!   [`WorkerPool::swap_core`], plus [`WorkerPool::autoscale_tick`]
+//!   under a [`ResizePolicy`], driven by the pool's own load);
 //! * [`stats`] — [`FarmStats`]: Table-2-style per-core and farm-aggregate
 //!   figures (blocks, cycles, occupancy, cycles/block) derived from the
 //!   telemetry snapshot rather than a private counter path;
 //! * [`error`] — the unified [`Error`] hierarchy folding submission
 //!   rejections and job faults into one `std::error::Error` type.
 //!
-//! Every engine publishes its activity into a [`telemetry::Registry`]
-//! (its own, or a shared one passed to [`EngineBuilder::registry`]):
+//! Every farm publishes its activity into a [`telemetry::Registry`]
+//! (its own, or a shared one passed to [`FarmBuilder::registry`]):
 //! per-core counters under `engine.core.<index>.<backend>.<field>`,
 //! submit/completion counters, queue-depth gauges, and latency/occupancy
 //! histograms. Benches and the service's `GET_STATS` endpoint read the
@@ -64,6 +69,7 @@
 
 pub mod backend;
 pub mod error;
+pub mod job;
 pub mod pool;
 pub mod scheduler;
 pub mod stats;
@@ -73,6 +79,7 @@ pub use crate::backend::{
     SoftwareBackend,
 };
 pub use crate::error::Error;
+pub use crate::job::{FarmBuilder, JobError, JobId, JobOutput, Mode, SubmitError};
 pub use crate::pool::{PoolBuilder, ResizeAction, ResizePolicy, WorkerPool};
-pub use crate::scheduler::{Engine, EngineBuilder, JobError, JobId, JobOutput, Mode, SubmitError};
+pub use crate::scheduler::{Engine, EngineBuilder};
 pub use crate::stats::{CoreStats, FarmStats};

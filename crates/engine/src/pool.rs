@@ -1,23 +1,25 @@
 //! True thread-parallel execution: a work-stealing, elastic worker pool.
 //!
-//! The [`Engine`](crate::Engine) models the paper's farm in *virtual
-//! time* — cycle counters advance, but every job still executes inline on
-//! the caller's thread. [`WorkerPool`] is the wall-clock counterpart: each
-//! [`Backend`] core gets an owning OS worker thread with a local deque,
-//! submission goes through a shared `&self` handle with the same bounded
-//! [`SubmitError::Busy`] semantics, and finished jobs come back over a
-//! completion channel (plus an optional notifier callback, which the TCP
-//! service wires to a self-pipe so its `poll(2)` loops wake without
-//! spinning).
+//! The [`Engine`](crate::Engine) drives the paper's farm in *virtual
+//! time* on the caller's thread. [`WorkerPool`] is the wall-clock
+//! counterpart: each [`Backend`] core gets an owning OS worker thread
+//! with a local deque, submission goes through a shared `&self` handle,
+//! and finished jobs come back over a completion channel (plus an
+//! optional notifier callback, which the TCP service wires to a
+//! self-pipe so its `poll(2)` loops wake without spinning).
 //!
-//! Scheduling mirrors the virtual-time engine: parallel modes (ECB, CTR)
-//! are dealt across every eligible worker's deque in the same 8-block
-//! granule plan ([`Engine::shares_batched`]), while chained modes (CBC,
-//! CFB, OFB) are *pinned* to the least-loaded capable worker — block
-//! `i+1` depends on block `i`, so the stream must not migrate mid-job. An
-//! idle worker first drains its own deque, then the shared injector, then
-//! **steals** from the back of the longest sibling deque (never a pinned
-//! task, never a direction its datapath lacks).
+//! Both run the one job model of [`job`](crate::job): the same
+//! [`PoolBuilder`] configuration, the same admission gate (job ids, the
+//! bounded capacity behind [`SubmitError::Busy`], the ragged check and
+//! their counters), the same granule shard planner and span executor,
+//! and the same per-core telemetry pusher. What the pool adds is the
+//! threading: parallel modes (ECB, CTR) are dealt across every eligible
+//! worker's deque, while chained modes (CBC, CFB, OFB) are *pinned* to
+//! the least-loaded capable worker — block `i+1` depends on block `i`,
+//! so the stream must not migrate mid-job. An idle worker first drains
+//! its own deque, then the shared injector, then **steals** from the
+//! back of the longest sibling deque (never a pinned task, never a
+//! direction its datapath lacks).
 //!
 //! The farm is *elastic* — the software analog of partial FPGA
 //! reconfiguration: [`WorkerPool::add_core`] and
@@ -28,13 +30,14 @@
 //! shards fall back to the injector, and injector work the narrowed
 //! farm can no longer serve fails typed instead of stranding.
 //! [`WorkerPool::autoscale_tick`] drives resizing from the pool's own
-//! open-job count and the published `engine.core.occupancy_bp`
-//! histogram under a [`ResizePolicy`], and every decision is visible as
-//! `engine.resize.*` counters and the `engine.workers` gauge.
+//! open-job count and the occupancy samples its own workers recorded
+//! under a [`ResizePolicy`] — never from registry-wide instruments, which
+//! every session of a service writes into — and every decision is
+//! visible as `engine.resize.*` counters and the `engine.workers` gauge.
 //!
-//! Worker threads spawn lazily on the first submission, so a pool that
-//! never sees work (an idle service session holding only a key) costs no
-//! threads.
+//! Worker threads spawn (and key their backends) lazily on the first
+//! submission, so a pool that never sees work (an idle service session
+//! holding only a key) costs no threads and no key schedules.
 //!
 //! # Examples
 //!
@@ -53,7 +56,7 @@
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -63,13 +66,10 @@ use aes_ip::core::Direction;
 use telemetry::{Counter, Gauge, Histogram, Registry};
 
 use crate::backend::{Backend, BackendSpec};
-use crate::scheduler::{
-    run_ctr_span, run_ecb_span, run_on_one, Engine, JobError, JobId, JobOutput, Mode, SubmitError,
-    OCCUPANCY_BOUNDS,
+use crate::job::{
+    plan_shards, run_span, CoreTel, FarmBuilder, FarmSlot, Gate, JobError, JobId, JobOutput, Mode,
+    SubmitError,
 };
-
-/// AES block size in bytes.
-const BLOCK: usize = 16;
 
 /// Bucket bounds for the `engine.pool.job_us` histogram: wall-clock
 /// submit-to-complete latency in microseconds, geometric steps from 50 µs
@@ -104,8 +104,8 @@ pub struct ResizePolicy {
     /// gap does not flap the farm.
     pub shrink_after_ticks: u32,
     /// Treat the farm as saturated (and refuse to shrink) while the mean
-    /// `engine.core.occupancy_bp` sample since the last tick is at or
-    /// above this many basis points.
+    /// occupancy sample this pool's own workers recorded since the last
+    /// tick is at or above this many basis points.
     pub busy_occupancy_bp: u64,
     /// The backend grown workers are built with.
     pub spec: BackendSpec,
@@ -131,31 +131,10 @@ struct Task {
     part: usize,
     /// Pinned tasks (chained streams) never migrate by stealing.
     pinned: bool,
-    work: Work,
-}
-
-enum Work {
-    /// A contiguous whole-blocks span of an ECB job.
-    EcbShard { dir: Direction, data: Vec<u8> },
-    /// A contiguous counter span of a CTR job (`first_block` is the
-    /// span's SP 800-38A counter offset).
-    CtrShard {
-        nonce: [u8; 16],
-        first_block: u128,
-        data: Vec<u8>,
-    },
-    /// An unsharded job of any mode.
-    Whole { mode: Mode, data: Vec<u8> },
-}
-
-impl Task {
-    fn dir(&self) -> Direction {
-        match &self.work {
-            Work::EcbShard { dir, .. } => *dir,
-            Work::CtrShard { .. } => Direction::Encrypt,
-            Work::Whole { mode, .. } => mode.direction(),
-        }
-    }
+    mode: Mode,
+    /// The span's SP 800-38A counter offset (0 for an unsharded job).
+    first_block: u128,
+    data: Vec<u8>,
 }
 
 /// Shared completion state of one job across its shards.
@@ -169,6 +148,18 @@ struct JobState {
     remaining: Mutex<usize>,
     /// First fault wins; the job reports it once every shard has landed.
     failed: Mutex<Option<JobError>>,
+}
+
+impl JobState {
+    fn new(id: JobId, parts: usize) -> Arc<JobState> {
+        Arc::new(JobState {
+            id,
+            started: Instant::now(),
+            parts: Mutex::new(vec![None; parts]),
+            remaining: Mutex::new(parts),
+            failed: Mutex::new(None),
+        })
+    }
 }
 
 /// One farm slot's scheduler-visible state. The worker thread owns the
@@ -201,8 +192,8 @@ impl Slot {
 struct State {
     slots: Vec<Slot>,
     injector: VecDeque<Task>,
-    /// Specs waiting for the lazy first-submission spawn.
-    pending: Vec<BackendSpec>,
+    /// Farm slots waiting for the lazy first-submission spawn.
+    pending: Vec<FarmSlot>,
     /// Jobs accepted and not yet delivered — the bounded-capacity count.
     open: usize,
     started: bool,
@@ -231,22 +222,20 @@ impl State {
     fn drain_unservable_injector(&mut self) -> Vec<Task> {
         let can_enc = self.slots.iter().any(|s| s.alive && s.enc);
         let can_dec = self.slots.iter().any(|s| s.alive && s.dec);
-        let mut stranded = Vec::new();
-        let mut kept = VecDeque::with_capacity(self.injector.len());
-        for t in self.injector.drain(..) {
-            let ok = match t.dir() {
-                Direction::Encrypt => can_enc,
-                Direction::Decrypt => can_dec,
-            };
-            if ok {
-                kept.push_back(t);
-            } else {
-                stranded.push(t);
-            }
-        }
-        self.injector = kept;
-        stranded
+        take_unservable(&mut self.injector, can_enc, can_dec)
     }
+}
+
+/// Removes and returns the tasks in `queue` whose direction a datapath
+/// with the given capabilities cannot run, keeping the rest in order.
+fn take_unservable(queue: &mut VecDeque<Task>, enc: bool, dec: bool) -> Vec<Task> {
+    let (kept, gone): (VecDeque<Task>, VecDeque<Task>) =
+        queue.drain(..).partition(|t| match t.mode.direction() {
+            Direction::Encrypt => enc,
+            Direction::Decrypt => dec,
+        });
+    *queue = kept;
+    gone.into()
 }
 
 struct Inner {
@@ -255,16 +244,18 @@ struct Inner {
     work_cv: Condvar,
     /// Wakes [`WorkerPool::wait_idle`] when `open` returns to zero.
     idle_cv: Condvar,
-    registry: Registry,
-    capacity: usize,
+    gate: Gate,
     /// Key bytes for building grown / swapped backends; wiped on drop.
     key: Mutex<Vec<u8>>,
     tx: Mutex<Sender<JobOutput>>,
     notifier: Mutex<Option<Arc<dyn Fn() + Send + Sync>>>,
-    jobs_completed: Counter,
-    jobs_failed: Counter,
-    queue_depth: Gauge,
     job_us: Histogram,
+    steals: Counter,
+    /// `(count, sum)` of the occupancy samples this pool's workers
+    /// recorded since the last autoscale tick. The registry histogram
+    /// they also record into is shared by every farm on the registry, so
+    /// it cannot tell this pool's load from a neighbor's.
+    occupancy: Mutex<(u64, u64)>,
 }
 
 impl Inner {
@@ -272,11 +263,7 @@ impl Inner {
     /// channel, fire the notifier, and only then release the capacity
     /// slot — locks are never held across the callback.
     fn deliver(&self, out: JobOutput, started: Instant) {
-        self.queue_depth.sub(1);
-        match &out.data {
-            Ok(_) => self.jobs_completed.incr(),
-            Err(_) => self.jobs_failed.incr(),
-        }
+        self.gate.retire(out.data.is_ok());
         let us = started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
         self.job_us.record(us);
         let _ = self.tx.lock().expect("sender poisoned").send(out);
@@ -298,9 +285,7 @@ impl Inner {
     /// and delivers it. Call *without* holding the state lock.
     fn finish_part(&self, job: &Arc<JobState>, part: usize, result: Result<Vec<u8>, JobError>) {
         match result {
-            Ok(bytes) => {
-                self.parts_slot(job, part, bytes);
-            }
+            Ok(bytes) => job.parts.lock().expect("job parts poisoned")[part] = Some(bytes),
             Err(e) => {
                 let mut failed = job.failed.lock().expect("job fault slot poisoned");
                 if failed.is_none() {
@@ -332,134 +317,73 @@ impl Inner {
         self.deliver(JobOutput { id: job.id, data }, job.started);
     }
 
-    fn parts_slot(&self, job: &Arc<JobState>, part: usize, bytes: Vec<u8>) {
-        job.parts.lock().expect("job parts poisoned")[part] = Some(bytes);
-    }
-
     /// Fails every task in `tasks` (used when a remove/swap leaves a
     /// direction with no capable worker). Call without the state lock.
     fn fail_tasks(&self, tasks: Vec<Task>) {
         for t in tasks {
-            let dir = t.dir();
+            let dir = t.mode.direction();
             self.finish_part(&t.job, t.part, Err(JobError::NoCapableCore { dir }));
+        }
+    }
+
+    /// Pushes one worker's counter growth and adds its occupancy sample
+    /// to this pool's own tally.
+    fn sync_core(&self, tel: &CoreTel, backend: &dyn Backend) {
+        if let Some(bp) = tel.sync(backend) {
+            let mut own = self.occupancy.lock().expect("occupancy tally poisoned");
+            own.0 += 1;
+            own.1 += bp;
         }
     }
 }
 
-/// Builds a [`WorkerPool`] — farm composition, queue capacity, telemetry
-/// registry — mirroring [`EngineBuilder`](crate::EngineBuilder).
-#[derive(Default)]
-pub struct PoolBuilder {
-    specs: Vec<BackendSpec>,
-    capacity: Option<usize>,
-    registry: Option<Registry>,
-}
+/// Configures and builds a [`WorkerPool`]; see [`FarmBuilder`].
+pub type PoolBuilder = FarmBuilder<WorkerPool>;
 
-impl PoolBuilder {
-    /// Starts an empty builder (no cores, default capacity 8, private
-    /// registry).
-    #[must_use]
-    pub fn new() -> Self {
-        PoolBuilder::default()
-    }
-
-    /// Adds one worker slot built from `spec` (keyed at first
-    /// submission, when the worker threads spawn).
-    #[must_use]
-    pub fn core(mut self, spec: BackendSpec) -> Self {
-        self.specs.push(spec);
-        self
-    }
-
-    /// Adds one worker slot per spec, in order.
-    #[must_use]
-    pub fn cores(mut self, specs: &[BackendSpec]) -> Self {
-        self.specs.extend_from_slice(specs);
-        self
-    }
-
-    /// Sets the bounded open-job capacity (default 8).
-    #[must_use]
-    pub fn capacity(mut self, capacity: usize) -> Self {
-        self.capacity = Some(capacity);
-        self
-    }
-
-    /// Publishes the pool's instruments into `registry` instead of a
-    /// fresh private one (the same sharing semantics as engine farms:
-    /// delta-pushed counters aggregate).
-    #[must_use]
-    pub fn registry(mut self, registry: Registry) -> Self {
-        self.registry = Some(registry);
-        self
-    }
-
+impl FarmBuilder<WorkerPool> {
     /// Assembles the pool. The key is retained (and wiped on drop) so
-    /// grown and hot-swapped workers can be keyed at runtime; worker
-    /// threads spawn lazily on the first submission.
+    /// spec-built, grown and hot-swapped workers can be keyed at
+    /// runtime; worker threads spawn lazily on the first submission.
     ///
     /// # Panics
     ///
-    /// Panics on an empty farm or a zero-capacity queue, like
-    /// [`EngineBuilder::build`](crate::EngineBuilder::build).
+    /// Panics on an empty farm or a zero-capacity queue, like the
+    /// engine's `build`.
     #[must_use]
     pub fn build(self, key: &[u8]) -> WorkerPool {
-        assert!(!self.specs.is_empty(), "a pool needs at least one backend");
-        let capacity = self.capacity.unwrap_or(8);
-        assert!(capacity > 0, "a zero-capacity queue rejects every job");
-        let registry = self.registry.unwrap_or_default();
-        registry.gauge("engine.queue.capacity").set(capacity as i64);
+        let (pending, gate) = self.finish();
+        let registry = gate.registry.clone();
         let workers_gauge = registry.gauge("engine.workers");
-        workers_gauge.add(self.specs.len() as i64);
+        workers_gauge.add(pending.len() as i64);
         let (tx, rx) = channel();
         WorkerPool {
             inner: Arc::new(Inner {
                 state: Mutex::new(State {
                     slots: Vec::new(),
                     injector: VecDeque::new(),
-                    pending: self.specs,
+                    pending,
                     open: 0,
                     started: false,
                     shutdown: false,
                 }),
                 work_cv: Condvar::new(),
                 idle_cv: Condvar::new(),
-                capacity,
+                gate,
                 key: Mutex::new(key.to_vec()),
                 tx: Mutex::new(tx),
                 notifier: Mutex::new(None),
-                jobs_completed: registry.counter("engine.jobs.completed"),
-                jobs_failed: registry.counter("engine.jobs.failed"),
-                queue_depth: registry.gauge("engine.queue.depth"),
                 job_us: registry.histogram("engine.pool.job_us", &JOB_US_BOUNDS),
-                registry: registry.clone(),
+                steals: registry.counter("engine.pool.steals"),
+                occupancy: Mutex::new((0, 0)),
             }),
             rx: Mutex::new(rx),
             handles: Mutex::new(Vec::new()),
-            next_id: AtomicU64::new(0),
-            submit_accepted: registry.counter("engine.submit.accepted"),
-            submit_busy: registry.counter("engine.submit.busy"),
-            submit_ragged: registry.counter("engine.submit.ragged"),
-            steals: registry.counter("engine.pool.steals"),
             resize_grow: registry.counter("engine.resize.grow"),
             resize_shrink: registry.counter("engine.resize.shrink"),
             resize_swap: registry.counter("engine.resize.swap"),
             workers_gauge,
-            occupancy_bp: registry.histogram("engine.core.occupancy_bp", &OCCUPANCY_BOUNDS),
             idle_streak: AtomicU32::new(0),
-            last_occupancy: Mutex::new((0, 0)),
-            registry,
         }
-    }
-}
-
-impl fmt::Debug for PoolBuilder {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PoolBuilder")
-            .field("specs", &self.specs)
-            .field("capacity", &self.capacity)
-            .field("shared_registry", &self.registry.is_some())
-            .finish()
     }
 }
 
@@ -468,21 +392,11 @@ pub struct WorkerPool {
     inner: Arc<Inner>,
     rx: Mutex<Receiver<JobOutput>>,
     handles: Mutex<Vec<JoinHandle<()>>>,
-    next_id: AtomicU64,
-    submit_accepted: Counter,
-    submit_busy: Counter,
-    submit_ragged: Counter,
-    steals: Counter,
     resize_grow: Counter,
     resize_shrink: Counter,
     resize_swap: Counter,
     workers_gauge: Gauge,
-    occupancy_bp: Histogram,
     idle_streak: AtomicU32,
-    /// `(count, sum)` of the occupancy histogram at the last autoscale
-    /// tick, for the per-tick mean.
-    last_occupancy: Mutex<(u64, u64)>,
-    registry: Registry,
 }
 
 impl WorkerPool {
@@ -498,13 +412,13 @@ impl WorkerPool {
     /// The registry this pool publishes into.
     #[must_use]
     pub fn registry(&self) -> &Registry {
-        &self.registry
+        &self.inner.gate.registry
     }
 
     /// The bounded open-job capacity (the `Busy` detail value).
     #[must_use]
     pub fn capacity(&self) -> usize {
-        self.inner.capacity
+        self.inner.gate.capacity
     }
 
     /// Jobs accepted and not yet delivered.
@@ -550,31 +464,20 @@ impl WorkerPool {
     ///   number of blocks.
     pub fn try_submit(&self, mode: Mode, data: Vec<u8>) -> Result<JobId, SubmitError> {
         let mut st = self.inner.state.lock().expect("pool state poisoned");
-        if st.shutdown || st.open >= self.inner.capacity {
-            self.submit_busy.incr();
-            return Err(SubmitError::Busy {
-                capacity: self.inner.capacity,
-            });
-        }
-        if mode.requires_full_blocks() && !data.len().is_multiple_of(BLOCK) {
-            self.submit_ragged.incr();
-            return Err(SubmitError::RaggedLength { len: data.len() });
-        }
+        // A pool shutting down is full for good.
+        let open = if st.shutdown { usize::MAX } else { st.open };
+        let id = self.inner.gate.admit(open, mode, data.len())?;
         self.ensure_started(&mut st);
-        self.submit_accepted.incr();
-        let id = JobId::from_raw(self.next_id.fetch_add(1, Ordering::Relaxed));
-
+        // Take the capacity slot first — deliver() releases it.
+        st.open += 1;
         let dir = mode.direction();
         let eligible = st.eligible(dir);
         if eligible.is_empty() || data.is_empty() {
             // Degenerate jobs complete on the submitting thread:
             // accepted-then-failed when the farm has no datapath for the
             // direction (like the engine), trivially done when there are
-            // no bytes. Take the capacity slot first — deliver() releases
-            // it.
-            st.open += 1;
+            // no bytes.
             drop(st);
-            self.inner.queue_depth.add(1);
             let data = if eligible.is_empty() {
                 Err(JobError::NoCapableCore { dir })
             } else {
@@ -583,26 +486,19 @@ impl WorkerPool {
             self.inner.deliver(JobOutput { id, data }, Instant::now());
             return Ok(id);
         }
-
-        st.open += 1;
-        self.inner.queue_depth.add(1);
         if mode.is_parallel() && eligible.len() > 1 {
-            self.deal_shards(&mut st, id, mode, data, &eligible);
+            deal_shards(&mut st, id, mode, data, &eligible);
         } else {
-            let job = Arc::new(JobState {
-                id,
-                started: Instant::now(),
-                parts: Mutex::new(vec![None]),
-                remaining: Mutex::new(1),
-                failed: Mutex::new(None),
-            });
+            let pinned = !mode.is_parallel();
             let task = Task {
-                job,
+                job: JobState::new(id, 1),
                 part: 0,
-                pinned: !mode.is_parallel(),
-                work: Work::Whole { mode, data },
+                pinned,
+                mode,
+                first_block: 0,
+                data,
             };
-            if task.pinned {
+            if pinned {
                 let target = st.least_loaded(dir).expect("eligible is non-empty");
                 st.slots[target].queue.push_back(task);
             } else {
@@ -615,61 +511,6 @@ impl WorkerPool {
         Ok(id)
     }
 
-    /// Deals a parallel job's granule shards across the eligible
-    /// workers' deques (same plan as the virtual-time engine). Idle
-    /// workers rebalance by stealing from the back.
-    fn deal_shards(
-        &self,
-        st: &mut State,
-        id: JobId,
-        mode: Mode,
-        mut data: Vec<u8>,
-        eligible: &[usize],
-    ) {
-        let n = data.len().div_ceil(BLOCK);
-        let shares = Engine::shares_batched(n, eligible.len());
-        // Split from the tail so each shard is one allocation and the
-        // bytes are copied exactly once.
-        let mut chunks: Vec<(usize, u128, Vec<u8>)> = Vec::new();
-        let mut first = n;
-        for (i, &share) in shares.iter().enumerate().rev() {
-            if share == 0 {
-                continue;
-            }
-            first -= share;
-            let chunk = data.split_off((first * BLOCK).min(data.len()));
-            chunks.push((i, first as u128, chunk));
-        }
-        chunks.reverse();
-        let job = Arc::new(JobState {
-            id,
-            started: Instant::now(),
-            parts: Mutex::new(vec![None; chunks.len()]),
-            remaining: Mutex::new(chunks.len()),
-            failed: Mutex::new(None),
-        });
-        for (part, (slot_pos, first_block, bytes)) in chunks.into_iter().enumerate() {
-            let work = match mode {
-                Mode::EcbEncrypt | Mode::EcbDecrypt => Work::EcbShard {
-                    dir: mode.direction(),
-                    data: bytes,
-                },
-                Mode::Ctr(nonce) => Work::CtrShard {
-                    nonce,
-                    first_block,
-                    data: bytes,
-                },
-                _ => unreachable!("only parallel modes are sharded"),
-            };
-            st.slots[eligible[slot_pos]].queue.push_back(Task {
-                job: Arc::clone(&job),
-                part,
-                pinned: false,
-                work,
-            });
-        }
-    }
-
     /// Spawns the configured workers on the first submission.
     fn ensure_started(&self, st: &mut State) {
         if st.started {
@@ -678,8 +519,8 @@ impl WorkerPool {
         st.started = true;
         let pending = std::mem::take(&mut st.pending);
         let key = self.inner.key.lock().expect("pool key poisoned").clone();
-        for spec in pending {
-            self.spawn_worker(st, spec.build(&key));
+        for slot in pending {
+            self.spawn_worker(st, slot.build(&key));
         }
     }
 
@@ -697,11 +538,9 @@ impl WorkerPool {
             busy: false,
         });
         let inner = Arc::clone(&self.inner);
-        let steals = self.steals.clone();
-        let occupancy = self.occupancy_bp.clone();
         let handle = std::thread::Builder::new()
             .name(format!("engine-worker-{index}"))
-            .spawn(move || worker_main(inner, index, backend, steals, occupancy))
+            .spawn(move || worker_main(&inner, index, backend))
             .expect("spawn engine worker thread");
         self.handles
             .lock()
@@ -709,7 +548,6 @@ impl WorkerPool {
             .push(handle);
         index
     }
-
     /// Adds one worker built from `spec` (with the pool's key) to the
     /// live farm, returning its slot index. Counted as
     /// `engine.resize.grow`.
@@ -719,7 +557,7 @@ impl WorkerPool {
             let key = self.inner.key.lock().expect("pool key poisoned").clone();
             self.spawn_worker(&mut st, spec.build(&key))
         } else {
-            st.pending.push(spec);
+            st.pending.push(FarmSlot::Spec(spec));
             st.pending.len() - 1
         };
         drop(st);
@@ -773,7 +611,7 @@ impl WorkerPool {
         let mut st = self.inner.state.lock().expect("pool state poisoned");
         if !st.started {
             if index < st.pending.len() {
-                st.pending[index] = spec;
+                st.pending[index] = FarmSlot::Spec(spec);
                 drop(st);
                 self.resize_swap.incr();
                 return true;
@@ -795,24 +633,7 @@ impl WorkerPool {
         // The slot's queue may hold directions the new backend lacks
         // (e.g. encdec -> encrypt-only): migrate them before the worker
         // blindly pops its own deque.
-        let stale: Vec<Task> = {
-            let queue = &mut st.slots[index].queue;
-            let mut kept = VecDeque::with_capacity(queue.len());
-            let mut moved = Vec::new();
-            for t in queue.drain(..) {
-                let ok = match t.dir() {
-                    Direction::Encrypt => enc,
-                    Direction::Decrypt => dec,
-                };
-                if ok {
-                    kept.push_back(t);
-                } else {
-                    moved.push(t);
-                }
-            }
-            *queue = kept;
-            moved
-        };
+        let stale = take_unservable(&mut st.slots[index].queue, enc, dec);
         let mut unroutable = reroute(&mut st, stale);
         unroutable.extend(st.drain_unservable_injector());
         drop(st);
@@ -823,32 +644,25 @@ impl WorkerPool {
     }
 
     /// One supervisor tick of the elastic control plane: reads this
-    /// pool's own open-job count (the per-pool analog of the
-    /// `engine.queue.depth` gauge, which is registry-wide and would let
-    /// a neighbor session's backlog grow this farm) and the
-    /// `engine.core.occupancy_bp` histogram, and grows or shrinks the
-    /// farm under `policy`. Growth requires this pool's own queue
-    /// pressure; shrinking requires
-    /// [`ResizePolicy::shrink_after_ticks`] consecutive idle ticks with
-    /// the cores below the saturation bar.
+    /// pool's own open-job count and the occupancy samples its own
+    /// workers recorded since the last tick, and grows or shrinks the
+    /// farm under `policy`. The registry-wide `engine.queue.depth` gauge
+    /// and `engine.core.occupancy_bp` histogram are deliberately not
+    /// consulted: every farm on a shared registry writes into them, so a
+    /// busy neighbor would grow this pool or keep it from shrinking.
+    /// Growth requires this pool's own queue pressure; shrinking
+    /// requires [`ResizePolicy::shrink_after_ticks`] consecutive idle
+    /// ticks with the cores below the saturation bar.
     pub fn autoscale_tick(&self, policy: &ResizePolicy) -> Option<ResizeAction> {
-        let (count, sum) = (self.occupancy_bp.count(), self.occupancy_bp.sum());
-        let (dcount, dsum) = {
-            let mut last = self.last_occupancy.lock().expect("occupancy watermark");
-            let d = (count - last.0, sum - last.1);
-            *last = (count, sum);
-            d
-        };
-        let saturated = dcount > 0 && dsum / dcount >= policy.busy_occupancy_bp;
-        let (own_open, workers) = {
-            let st = self.inner.state.lock().expect("pool state poisoned");
-            let live = if st.started {
-                st.slots.iter().filter(|s| s.alive).count()
-            } else {
-                st.pending.len()
-            };
-            (st.open, live)
-        };
+        let (count, sum) = std::mem::take(
+            &mut *self
+                .inner
+                .occupancy
+                .lock()
+                .expect("occupancy tally poisoned"),
+        );
+        let saturated = count > 0 && sum / count >= policy.busy_occupancy_bp;
+        let (own_open, workers) = (self.open_jobs(), self.workers());
         if own_open >= policy.grow_depth && workers < policy.max_workers {
             self.idle_streak.store(0, Ordering::Relaxed);
             return Some(ResizeAction::Grew(self.add_core(policy.spec)));
@@ -972,7 +786,7 @@ impl fmt::Debug for WorkerPool {
         f.debug_struct("WorkerPool")
             .field("workers", &self.workers())
             .field("open_jobs", &self.open_jobs())
-            .field("capacity", &self.inner.capacity)
+            .field("capacity", &self.inner.gate.capacity)
             .finish()
     }
 }
@@ -997,7 +811,7 @@ impl Drop for Inner {
 fn reroute(st: &mut State, tasks: Vec<Task>) -> Vec<Task> {
     let mut unroutable = Vec::new();
     for t in tasks {
-        let dir = t.dir();
+        let dir = t.mode.direction();
         if t.pinned {
             match st.least_loaded(dir) {
                 Some(target) => st.slots[target].queue.push_back(t),
@@ -1033,7 +847,7 @@ fn find_task(st: &mut State, me: usize) -> Option<(Task, bool)> {
         Direction::Encrypt => enc,
         Direction::Decrypt => dec,
     };
-    if let Some(pos) = st.injector.iter().position(|t| can(t.dir())) {
+    if let Some(pos) = st.injector.iter().position(|t| can(t.mode.direction())) {
         return st.injector.remove(pos).map(|t| (t, false));
     }
     let mut victims: Vec<usize> = (0..st.slots.len())
@@ -1043,7 +857,7 @@ fn find_task(st: &mut State, me: usize) -> Option<(Task, bool)> {
     for v in victims {
         let queue = &mut st.slots[v].queue;
         for pos in (0..queue.len()).rev() {
-            if !queue[pos].pinned && can(queue[pos].dir()) {
+            if !queue[pos].pinned && can(queue[pos].mode.direction()) {
                 return queue.remove(pos).map(|t| (t, true));
             }
         }
@@ -1051,63 +865,8 @@ fn find_task(st: &mut State, me: usize) -> Option<(Task, bool)> {
     None
 }
 
-/// Per-worker delta push of the owned backend's counters into the shared
-/// registry — the same bookkeeping as `Engine::sync_telemetry`, owned by
-/// the worker thread so no lock guards the authoritative counters.
-struct CoreTel {
-    blocks: Counter,
-    cycles: Counter,
-    setup_cycles: Counter,
-    busy_cycles: Counter,
-    occupancy: Histogram,
-    last: (u64, u64, u64, u64),
-}
-
-impl CoreTel {
-    fn register(registry: &Registry, index: usize, name: &str, occupancy: Histogram) -> CoreTel {
-        let prefix = format!("engine.core.{index}.{name}");
-        CoreTel {
-            blocks: registry.counter(&format!("{prefix}.blocks")),
-            cycles: registry.counter(&format!("{prefix}.cycles")),
-            setup_cycles: registry.counter(&format!("{prefix}.setup_cycles")),
-            busy_cycles: registry.counter(&format!("{prefix}.busy_cycles")),
-            occupancy,
-            last: (0, 0, 0, 0),
-        }
-    }
-
-    fn sync(&mut self, backend: &dyn Backend) {
-        let now = (
-            backend.blocks(),
-            backend.cycles(),
-            backend.setup_cycles(),
-            backend.busy_cycles(),
-        );
-        let last = self.last;
-        self.last = now;
-        self.blocks.add(now.0.saturating_sub(last.0));
-        self.cycles.add(now.1.saturating_sub(last.1));
-        self.setup_cycles.add(now.2.saturating_sub(last.2));
-        self.busy_cycles.add(now.3.saturating_sub(last.3));
-        let op_delta = now
-            .1
-            .saturating_sub(last.1)
-            .saturating_sub(now.2.saturating_sub(last.2));
-        let busy_delta = now.3.saturating_sub(last.3);
-        if let Some(bp) = busy_delta.saturating_mul(10_000).checked_div(op_delta) {
-            self.occupancy.record(bp);
-        }
-    }
-}
-
-fn worker_main(
-    inner: Arc<Inner>,
-    me: usize,
-    mut backend: Box<dyn Backend>,
-    steals: Counter,
-    occupancy: Histogram,
-) {
-    let mut tel = CoreTel::register(&inner.registry, me, backend.name(), occupancy.clone());
+fn worker_main(inner: &Inner, me: usize, mut backend: Box<dyn Backend>) {
+    let mut tel = CoreTel::register(&inner.gate.registry, me, backend.name());
     loop {
         let action = {
             let mut st = inner.state.lock().expect("pool state poisoned");
@@ -1121,7 +880,7 @@ fn worker_main(
                 if let Some((task, stolen)) = find_task(&mut st, me) {
                     st.slots[me].busy = true;
                     if stolen {
-                        steals.incr();
+                        inner.steals.incr();
                     }
                     break Action::Run(task);
                 }
@@ -1134,7 +893,12 @@ fn worker_main(
         match action {
             Action::Run(task) => {
                 let Task {
-                    job, part, work, ..
+                    job,
+                    part,
+                    mode,
+                    first_block,
+                    mut data,
+                    ..
                 } = task;
                 // Contain backend panics: an unwind through the run
                 // loop would strand the held job (wait_idle hangs) and
@@ -1142,39 +906,46 @@ fn worker_main(
                 // panic becomes a typed fault and the worker carries
                 // on with the same backend.
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    execute(backend.as_mut(), work)
+                    run_span(backend.as_mut(), mode, first_block, &mut data)
                 }))
                 .unwrap_or(Err(JobError::WorkerPanicked));
-                tel.sync(backend.as_ref());
+                inner.sync_core(&tel, backend.as_ref());
                 inner.state.lock().expect("pool state poisoned").slots[me].busy = false;
-                inner.finish_part(&job, part, result);
+                inner.finish_part(&job, part, result.map(|()| data));
             }
             Action::Install(next) => {
                 // Push the retiring backend's final deltas, drop it (IP
                 // cores zero-reload their key schedule on drop), and
                 // re-register counters under the new backend's name.
-                tel.sync(backend.as_ref());
+                inner.sync_core(&tel, backend.as_ref());
                 backend = next;
-                tel = CoreTel::register(&inner.registry, me, backend.name(), occupancy.clone());
+                tel = CoreTel::register(&inner.gate.registry, me, backend.name());
             }
             Action::Exit => {
-                tel.sync(backend.as_ref());
+                inner.sync_core(&tel, backend.as_ref());
                 return;
             }
         }
     }
 }
 
-/// Runs one task's work on the owning worker's backend, in place.
-fn execute(backend: &mut dyn Backend, work: Work) -> Result<Vec<u8>, JobError> {
-    match work {
-        Work::EcbShard { dir, mut data } => run_ecb_span(backend, dir, &mut data).map(|()| data),
-        Work::CtrShard {
-            nonce,
-            first_block,
-            mut data,
-        } => run_ctr_span(backend, &nonce, first_block, &mut data).map(|()| data),
-        Work::Whole { mode, mut data } => run_on_one(backend, mode, &mut data).map(|()| data),
+/// Deals a parallel job's granule shards across the eligible workers'
+/// deques. Idle workers rebalance by stealing from the back.
+fn deal_shards(st: &mut State, id: JobId, mode: Mode, mut data: Vec<u8>, eligible: &[usize]) {
+    let shards = plan_shards(data.len(), eligible.len());
+    let job = JobState::new(id, shards.len());
+    // Split from the tail so each shard is one allocation and the bytes
+    // are copied exactly once.
+    for (part, shard) in shards.into_iter().enumerate().rev() {
+        let bytes = data.split_off(shard.bytes.start);
+        st.slots[eligible[shard.pos]].queue.push_back(Task {
+            job: Arc::clone(&job),
+            part,
+            pinned: false,
+            mode,
+            first_block: shard.first_block,
+            data: bytes,
+        });
     }
 }
 
@@ -1438,6 +1209,48 @@ mod tests {
         );
         a.wait_idle();
         b.wait_idle();
+    }
+
+    #[test]
+    fn autoscale_shrinks_an_idle_pool_beside_a_busy_neighbor() {
+        // Two session pools share one service registry. The busy one
+        // runs a job every tick, so the shared occupancy histogram keeps
+        // filling with saturated samples; the idle one must judge only
+        // its own workers' samples and shrink anyway.
+        let reg = Registry::new();
+        let busy = PoolBuilder::new()
+            .core(BackendSpec::Software)
+            .registry(reg.clone())
+            .build(&KEY);
+        let idle = PoolBuilder::new()
+            .cores(&[BackendSpec::Software; 2])
+            .registry(reg.clone())
+            .build(&KEY);
+        // Start the idle pool's workers (only live slots can retire).
+        idle.try_submit(Mode::EcbEncrypt, sample(16)).unwrap();
+        assert!(idle.collect_timeout(WAIT).unwrap().data.is_ok());
+        let policy = ResizePolicy {
+            min_workers: 1,
+            max_workers: 2,
+            grow_depth: 4,
+            shrink_after_ticks: 2,
+            busy_occupancy_bp: 8_000,
+            spec: BackendSpec::Software,
+        };
+        let mut shrank = false;
+        for _ in 0..8 {
+            busy.try_submit(Mode::EcbEncrypt, sample(8 * 16)).unwrap();
+            assert!(busy.collect_timeout(WAIT).unwrap().data.is_ok());
+            if let Some(ResizeAction::Shrank(_)) = idle.autoscale_tick(&policy) {
+                shrank = true;
+                break;
+            }
+        }
+        assert!(
+            shrank,
+            "the neighbor's load must not keep the idle pool grown"
+        );
+        assert_eq!(idle.workers(), 1);
     }
 
     #[test]

@@ -1,44 +1,40 @@
-//! Job scheduling across a farm of [`Backend`]s.
+//! The virtual-time farm: the paper's multi-core deployment, clocked in
+//! modeled cycles.
 //!
 //! The paper sells the IP on *area*, not speed: one core occupies ~10% of
 //! an EP20K300E, so a system integrator can stamp down several and scale
-//! throughput linearly. The [`Engine`] models that deployment. Jobs are
-//! whole mode operations (ECB/CBC/CTR/CFB/OFB over a byte buffer); the
-//! scheduler shards counter-mode and ECB work evenly across every capable
-//! core (each core pipelines its share through the decoupled bus at one
-//! block per latency period) and routes chained modes — where block `i+1`
-//! depends on block `i` — to the single least-loaded capable core.
-//! Chained streams run through the object-safe [`rijndael::Mode`] trait,
-//! the same dynamic surface the service uses, over a per-job adapter that
-//! presents the chosen backend as a [`BlockCipher`].
+//! throughput linearly. The [`Engine`] models that deployment as a
+//! deterministic executor on the caller's thread: jobs are whole mode
+//! operations (ECB/CBC/CTR/CFB/OFB over a byte buffer) and
+//! [`Engine::run`] drains them in submission order. Parallel modes are
+//! split by the shared granule shard planner across every capable core
+//! (each core pipelines its share through the decoupled bus at one block
+//! per latency period); chained modes — where block `i+1` depends on
+//! block `i` — go to the capable core whose cycle clock is furthest
+//! behind. The backends own the cycle counters, so a farm's wall time is
+//! the maximum over them and each job's is recorded in the
+//! `engine.job.latency_cycles` histogram.
 //!
-//! Submission is backpressured: the queue is bounded and
-//! [`Engine::try_submit`] returns [`SubmitError::Busy`] instead of
-//! growing without limit, mirroring the `data_ok` handshake one level up.
-//!
-//! Engines are built with [`EngineBuilder`] and publish their activity
-//! into a [`telemetry::Registry`] — their own private one by default, or
-//! a shared one via [`EngineBuilder::registry`] so several engines (e.g.
-//! one per service session) aggregate into a single snapshot. Per-core
-//! counters live under `engine.core.<index>.<backend>.<field>` and are
-//! pushed as *deltas* from the backends' own cycle counters, so shared
-//! instruments sum coherently; [`FarmStats::from_snapshot`] turns any
-//! snapshot back into Table-2 figures.
+//! Everything else — the [`EngineBuilder`] configuration, the bounded
+//! admission gate behind [`SubmitError::Busy`], the shard planner, the
+//! span executor and the per-core telemetry pusher — is the one job
+//! model in [`job`](crate::job) that the thread
+//! [`WorkerPool`](crate::WorkerPool) runs on too. Per-core counters live
+//! under `engine.core.<index>.<backend>.<field>`;
+//! [`FarmStats::from_snapshot`] turns any snapshot back into Table-2
+//! figures.
 
-use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::fmt;
 
-use aes_ip::core::Direction;
-use rijndael::modes::{Cbc, Cfb, Ctr, Iv, Ofb};
-use rijndael::BlockCipher;
-use telemetry::{Counter, Gauge, Histogram, Registry, Snapshot};
+use telemetry::{Histogram, Registry, Snapshot};
 
-use crate::backend::{Backend, BackendError, BackendSpec};
+use crate::backend::{Backend, BackendSpec};
+use crate::job::{
+    plan_shards, run_span, CoreTel, FarmBuilder, Gate, JobError, JobId, JobOutput, Mode,
+    SubmitError,
+};
 use crate::stats::FarmStats;
-
-/// AES block size in bytes.
-const BLOCK: usize = 16;
 
 /// Bucket bounds for the `engine.job.latency_cycles` histogram:
 /// geometric steps from about one block period up past 2500 blocks.
@@ -46,303 +42,10 @@ const LATENCY_BOUNDS: [u64; 12] = [
     64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 32768, 65536, 131072,
 ];
 
-/// Bucket bounds for the `engine.core.occupancy_bp` histogram: datapath
-/// occupancy in basis points (10000 = fully saturated), deciles. Shared
-/// with the thread [`pool`](crate::pool), which samples the same
-/// instrument.
-pub(crate) const OCCUPANCY_BOUNDS: [u64; 10] =
-    [1000, 2000, 3000, 4000, 5000, 6000, 7000, 8000, 9000, 10000];
+/// Configures and builds an [`Engine`]; see [`FarmBuilder`].
+pub type EngineBuilder = FarmBuilder<Engine>;
 
-/// A complete cipher-mode operation over one byte buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
-    /// ECB encryption (parallel; requires whole blocks).
-    EcbEncrypt,
-    /// ECB decryption (parallel; requires whole blocks).
-    EcbDecrypt,
-    /// CBC encryption (chained; requires whole blocks).
-    CbcEncrypt(
-        /// Initialisation vector.
-        [u8; 16],
-    ),
-    /// CBC decryption (chained here; requires whole blocks).
-    CbcDecrypt(
-        /// Initialisation vector.
-        [u8; 16],
-    ),
-    /// CTR keystream application — encryption and decryption are the same
-    /// operation (parallel; any length).
-    Ctr(
-        /// Initial counter block (NIST SP 800-38A convention).
-        [u8; 16],
-    ),
-    /// CFB encryption (chained; any length).
-    CfbEncrypt(
-        /// Initialisation vector.
-        [u8; 16],
-    ),
-    /// CFB decryption (chained here; any length).
-    CfbDecrypt(
-        /// Initialisation vector.
-        [u8; 16],
-    ),
-    /// OFB keystream application — self-inverse (chained; any length).
-    Ofb(
-        /// Initialisation vector.
-        [u8; 16],
-    ),
-}
-
-impl Mode {
-    /// Which core datapath the mode exercises. Only CBC decryption and
-    /// ECB decryption need the inverse cipher; CTR, CFB and OFB run the
-    /// *forward* datapath in both directions, so they schedule onto
-    /// encrypt-only cores.
-    #[must_use]
-    pub fn direction(self) -> Direction {
-        match self {
-            Mode::EcbDecrypt | Mode::CbcDecrypt(_) => Direction::Decrypt,
-            _ => Direction::Encrypt,
-        }
-    }
-
-    /// `true` when blocks are independent and the job can be sharded
-    /// across several cores.
-    #[must_use]
-    pub fn is_parallel(self) -> bool {
-        matches!(self, Mode::EcbEncrypt | Mode::EcbDecrypt | Mode::Ctr(_))
-    }
-
-    /// `true` when the buffer must be a whole number of blocks.
-    #[must_use]
-    pub fn requires_full_blocks(self) -> bool {
-        matches!(
-            self,
-            Mode::EcbEncrypt | Mode::EcbDecrypt | Mode::CbcEncrypt(_) | Mode::CbcDecrypt(_)
-        )
-    }
-}
-
-impl fmt::Display for Mode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            Mode::EcbEncrypt => "ecb-encrypt",
-            Mode::EcbDecrypt => "ecb-decrypt",
-            Mode::CbcEncrypt(_) => "cbc-encrypt",
-            Mode::CbcDecrypt(_) => "cbc-decrypt",
-            Mode::Ctr(_) => "ctr",
-            Mode::CfbEncrypt(_) => "cfb-encrypt",
-            Mode::CfbDecrypt(_) => "cfb-decrypt",
-            Mode::Ofb(_) => "ofb",
-        };
-        f.write_str(s)
-    }
-}
-
-/// Opaque handle identifying a submitted job in [`Engine::run`] output.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct JobId(u64);
-
-impl JobId {
-    /// Crate-internal constructor so the thread [`pool`](crate::pool) can
-    /// mint ids from its own allocator without widening the public API.
-    pub(crate) const fn from_raw(raw: u64) -> JobId {
-        JobId(raw)
-    }
-}
-
-impl fmt::Display for JobId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "job#{}", self.0)
-    }
-}
-
-/// Rejection at the submission boundary (the job never enters the queue).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SubmitError {
-    /// The bounded queue is full — drain with [`Engine::run`] and retry.
-    Busy {
-        /// The queue capacity that was exhausted.
-        capacity: usize,
-    },
-    /// The mode requires whole 16-byte blocks but the buffer is ragged.
-    RaggedLength {
-        /// The offending buffer length.
-        len: usize,
-    },
-    /// The IV does not match the cipher's 16-byte block width. Engine
-    /// [`Mode`] carries fixed-width IVs, so this arises only when lifting
-    /// a [`rijndael::Error`] from the dynamic mode surface upstream.
-    BadIv {
-        /// The offending IV length.
-        len: usize,
-    },
-}
-
-impl fmt::Display for SubmitError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SubmitError::Busy { capacity } => {
-                write!(f, "engine queue full ({capacity} jobs); run() to drain")
-            }
-            SubmitError::RaggedLength { len } => {
-                write!(f, "mode requires whole 16-byte blocks, got {len} bytes")
-            }
-            SubmitError::BadIv { len } => {
-                write!(f, "IV must be 16 bytes, got {len}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for SubmitError {}
-
-/// Failure of one accepted job (other jobs in the batch still run).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JobError {
-    /// No core in the farm has a datapath for the job's direction.
-    NoCapableCore {
-        /// The direction nobody supports.
-        dir: Direction,
-    },
-    /// A backend faulted mid-job.
-    Backend(BackendError),
-    /// A pool worker panicked while executing the job; the panic was
-    /// contained and the worker kept running, but the job's bytes are
-    /// gone.
-    WorkerPanicked,
-}
-
-impl fmt::Display for JobError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            JobError::NoCapableCore { dir } => {
-                let verb = match dir {
-                    Direction::Encrypt => "encrypt",
-                    Direction::Decrypt => "decrypt",
-                };
-                write!(f, "no core in the farm can {verb}")
-            }
-            JobError::Backend(e) => write!(f, "{e}"),
-            JobError::WorkerPanicked => write!(f, "a pool worker panicked mid-job"),
-        }
-    }
-}
-
-impl std::error::Error for JobError {}
-
-impl From<BackendError> for JobError {
-    fn from(e: BackendError) -> Self {
-        JobError::Backend(e)
-    }
-}
-
-/// One finished job from [`Engine::run`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JobOutput {
-    /// The handle [`Engine::try_submit`] returned for this job.
-    pub id: JobId,
-    /// The processed buffer, or why the job failed.
-    pub data: Result<Vec<u8>, JobError>,
-}
-
-struct QueuedJob {
-    id: JobId,
-    mode: Mode,
-    data: Vec<u8>,
-}
-
-/// Telemetry handles for one farm slot, plus the last values already
-/// pushed into the registry. The backends own the authoritative counters;
-/// the engine publishes *deltas* so several engines can share one
-/// registry (per-session engines under one service) and the shared
-/// instruments still sum coherently.
-struct CoreTelemetry {
-    blocks: Counter,
-    cycles: Counter,
-    setup_cycles: Counter,
-    busy_cycles: Counter,
-    pushed: Cell<(u64, u64, u64, u64)>,
-}
-
-/// Configures and builds an [`Engine`].
-///
-/// Replaces the old `Engine::new(Vec<Box<dyn Backend>>, capacity)`
-/// constructor: the builder owns farm composition (specs keyed at build
-/// time, or pre-keyed boxed backends), the queue capacity, and the
-/// telemetry [`Registry`] the engine publishes into.
-///
-/// # Examples
-///
-/// ```
-/// use engine::{BackendSpec, EngineBuilder, Mode};
-///
-/// let reg = telemetry::Registry::new();
-/// let mut engine = EngineBuilder::new()
-///     .cores(&[BackendSpec::EncDecCore; 2])
-///     .capacity(4)
-///     .registry(reg.clone())
-///     .build(&[0x2B; 16]);
-/// engine.try_submit(Mode::EcbEncrypt, vec![0; 64]).unwrap();
-/// engine.run();
-/// assert_eq!(reg.snapshot().counter("engine.jobs.completed"), Some(1));
-/// ```
-#[derive(Default)]
-pub struct EngineBuilder {
-    specs: Vec<BackendSpec>,
-    extra: Vec<Box<dyn Backend>>,
-    capacity: Option<usize>,
-    registry: Option<Registry>,
-}
-
-impl EngineBuilder {
-    /// Starts an empty builder (no cores, default capacity 8, private
-    /// registry).
-    #[must_use]
-    pub fn new() -> Self {
-        EngineBuilder::default()
-    }
-
-    /// Adds one farm slot built from `spec` (keyed at [`build`] time; IP
-    /// cores pay their real key-setup cycles there).
-    ///
-    /// [`build`]: EngineBuilder::build
-    #[must_use]
-    pub fn core(mut self, spec: BackendSpec) -> Self {
-        self.specs.push(spec);
-        self
-    }
-
-    /// Adds one farm slot per spec, in order.
-    #[must_use]
-    pub fn cores(mut self, specs: &[BackendSpec]) -> Self {
-        self.specs.extend_from_slice(specs);
-        self
-    }
-
-    /// Adds an already-keyed backend after the spec-built slots.
-    #[must_use]
-    pub fn backend(mut self, worker: Box<dyn Backend>) -> Self {
-        self.extra.push(worker);
-        self
-    }
-
-    /// Sets the bounded queue capacity (default 8).
-    #[must_use]
-    pub fn capacity(mut self, capacity: usize) -> Self {
-        self.capacity = Some(capacity);
-        self
-    }
-
-    /// Publishes the engine's instruments into `registry` instead of a
-    /// fresh private one. Engines sharing a registry (and farm layout)
-    /// share instruments; their delta-pushed counters aggregate.
-    #[must_use]
-    pub fn registry(mut self, registry: Registry) -> Self {
-        self.registry = Some(registry);
-        self
-    }
-
+impl FarmBuilder<Engine> {
     /// Keys every spec-built slot with `key` and assembles the engine.
     ///
     /// # Panics
@@ -352,58 +55,26 @@ impl EngineBuilder {
     /// 32 bytes.
     #[must_use]
     pub fn build(self, key: &[u8]) -> Engine {
-        let mut workers: Vec<Box<dyn Backend>> = self.specs.iter().map(|s| s.build(key)).collect();
-        workers.extend(self.extra);
-        assert!(!workers.is_empty(), "an engine needs at least one backend");
-        let capacity = self.capacity.unwrap_or(8);
-        assert!(capacity > 0, "a zero-capacity queue rejects every job");
-        let registry = self.registry.unwrap_or_default();
-        let cores_tel = workers
+        let (slots, gate) = self.finish();
+        let workers: Vec<Box<dyn Backend>> = slots.into_iter().map(|s| s.build(key)).collect();
+        let tel = workers
             .iter()
             .enumerate()
-            .map(|(i, w)| {
-                let prefix = format!("engine.core.{i}.{}", w.name());
-                CoreTelemetry {
-                    blocks: registry.counter(&format!("{prefix}.blocks")),
-                    cycles: registry.counter(&format!("{prefix}.cycles")),
-                    setup_cycles: registry.counter(&format!("{prefix}.setup_cycles")),
-                    busy_cycles: registry.counter(&format!("{prefix}.busy_cycles")),
-                    pushed: Cell::new((0, 0, 0, 0)),
-                }
-            })
+            .map(|(i, w)| CoreTel::register(&gate.registry, i, w.name()))
             .collect();
-        registry.gauge("engine.queue.capacity").set(capacity as i64);
         Engine {
-            queue: VecDeque::new(),
-            capacity,
-            next_id: 0,
-            cores_tel,
-            submit_accepted: registry.counter("engine.submit.accepted"),
-            submit_busy: registry.counter("engine.submit.busy"),
-            submit_ragged: registry.counter("engine.submit.ragged"),
-            jobs_completed: registry.counter("engine.jobs.completed"),
-            jobs_failed: registry.counter("engine.jobs.failed"),
-            queue_depth: registry.gauge("engine.queue.depth"),
-            job_latency: registry.histogram("engine.job.latency_cycles", &LATENCY_BOUNDS),
-            occupancy_bp: registry.histogram("engine.core.occupancy_bp", &OCCUPANCY_BOUNDS),
-            registry,
+            job_latency: gate
+                .registry
+                .histogram("engine.job.latency_cycles", &LATENCY_BOUNDS),
             workers,
+            tel,
+            queue: VecDeque::new(),
+            gate,
         }
     }
 }
 
-impl fmt::Debug for EngineBuilder {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("EngineBuilder")
-            .field("specs", &self.specs)
-            .field("extra", &self.extra.len())
-            .field("capacity", &self.capacity)
-            .field("shared_registry", &self.registry.is_some())
-            .finish()
-    }
-}
-
-/// Multi-core throughput engine: a farm of backends, a bounded job
+/// Multi-core virtual-time engine: a farm of backends, a bounded job
 /// queue, and the shard/route scheduler.
 ///
 /// # Examples
@@ -424,19 +95,10 @@ impl fmt::Debug for EngineBuilder {
 /// ```
 pub struct Engine {
     workers: Vec<Box<dyn Backend>>,
-    queue: VecDeque<QueuedJob>,
-    capacity: usize,
-    next_id: u64,
-    registry: Registry,
-    cores_tel: Vec<CoreTelemetry>,
-    submit_accepted: Counter,
-    submit_busy: Counter,
-    submit_ragged: Counter,
-    jobs_completed: Counter,
-    jobs_failed: Counter,
-    queue_depth: Gauge,
+    tel: Vec<CoreTel>,
+    queue: VecDeque<(JobId, Mode, Vec<u8>)>,
+    gate: Gate,
     job_latency: Histogram,
-    occupancy_bp: Histogram,
 }
 
 impl Engine {
@@ -467,13 +129,13 @@ impl Engine {
     /// The queue bound.
     #[must_use]
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.gate.capacity
     }
 
     /// The registry this engine publishes into.
     #[must_use]
     pub fn registry(&self) -> &Registry {
-        &self.registry
+        &self.gate.registry
     }
 
     /// Enqueues a mode operation over `data`, applying backpressure.
@@ -484,21 +146,8 @@ impl Engine {
     /// * [`SubmitError::RaggedLength`] when an ECB/CBC job is not a whole
     ///   number of blocks (caught here, before the job holds a slot).
     pub fn try_submit(&mut self, mode: Mode, data: Vec<u8>) -> Result<JobId, SubmitError> {
-        if self.queue.len() >= self.capacity {
-            self.submit_busy.incr();
-            return Err(SubmitError::Busy {
-                capacity: self.capacity,
-            });
-        }
-        if mode.requires_full_blocks() && !data.len().is_multiple_of(BLOCK) {
-            self.submit_ragged.incr();
-            return Err(SubmitError::RaggedLength { len: data.len() });
-        }
-        self.submit_accepted.incr();
-        self.queue_depth.add(1);
-        let id = JobId(self.next_id);
-        self.next_id += 1;
-        self.queue.push_back(QueuedJob { id, mode, data });
+        let id = self.gate.admit(self.queue.len(), mode, data.len())?;
+        self.queue.push_back((id, mode, data));
         Ok(id)
     }
 
@@ -507,19 +156,16 @@ impl Engine {
     /// batch still runs.
     pub fn run(&mut self) -> Vec<JobOutput> {
         // An empty queue means nothing moved since the last sync: skip
-        // the per-core delta bookkeeping entirely so pipelined collect
-        // loops polling an idle engine stop paying snapshot churn.
+        // the per-core delta bookkeeping entirely.
         if self.queue.is_empty() {
             return Vec::new();
         }
         let mut outputs = Vec::with_capacity(self.queue.len());
         let mut before = vec![0u64; self.workers.len()];
-        while let Some(job) = self.queue.pop_front() {
-            self.queue_depth.sub(1);
+        while let Some((id, mode, mut data)) = self.queue.pop_front() {
             for (b, w) in before.iter_mut().zip(&self.workers) {
                 *b = w.cycles();
             }
-            let QueuedJob { id, mode, mut data } = job;
             let result = self.dispatch(mode, &mut data);
             // Submit-to-complete latency in virtual time: the cores clock
             // concurrently, so the job takes as long as its slowest share.
@@ -531,17 +177,11 @@ impl Engine {
                 .max()
                 .unwrap_or(0);
             self.job_latency.record(latency);
-            let data = match result {
-                Ok(()) => {
-                    self.jobs_completed.incr();
-                    Ok(data)
-                }
-                Err(e) => {
-                    self.jobs_failed.incr();
-                    Err(e)
-                }
-            };
-            outputs.push(JobOutput { id, data });
+            self.gate.retire(result.is_ok());
+            outputs.push(JobOutput {
+                id,
+                data: result.map(|()| data),
+            });
         }
         self.sync_telemetry();
         outputs
@@ -550,26 +190,8 @@ impl Engine {
     /// Pushes each backend's counter growth since the last sync into the
     /// registry, and samples per-core occupancy over that growth.
     fn sync_telemetry(&self) {
-        for (w, t) in self.workers.iter().zip(&self.cores_tel) {
-            let now = (w.blocks(), w.cycles(), w.setup_cycles(), w.busy_cycles());
-            let last = t.pushed.replace(now);
-            t.blocks.add(now.0.saturating_sub(last.0));
-            t.cycles.add(now.1.saturating_sub(last.1));
-            t.setup_cycles.add(now.2.saturating_sub(last.2));
-            t.busy_cycles.add(now.3.saturating_sub(last.3));
-            // Fully saturating: a racing snapshot can legitimately show a
-            // setup-cycle delta larger than the total-cycle delta (a
-            // re-key landing between the two reads), and an underflow
-            // here would panic in debug or fabricate an absurd occupancy
-            // basis in release.
-            let op_delta = now
-                .1
-                .saturating_sub(last.1)
-                .saturating_sub(now.2.saturating_sub(last.2));
-            let busy_delta = now.3.saturating_sub(last.3);
-            if let Some(bp) = busy_delta.saturating_mul(10_000).checked_div(op_delta) {
-                self.occupancy_bp.record(bp);
-            }
+        for (w, t) in self.workers.iter().zip(&self.tel) {
+            t.sync(w.as_ref());
         }
     }
 
@@ -577,7 +199,7 @@ impl Engine {
     #[must_use]
     pub fn snapshot(&self) -> Snapshot {
         self.sync_telemetry();
-        self.registry.snapshot()
+        self.gate.registry.snapshot()
     }
 
     /// Table-2-style farm figures derived from [`Engine::snapshot`].
@@ -586,183 +208,30 @@ impl Engine {
         FarmStats::from_snapshot(&self.snapshot())
     }
 
-    /// Indices of workers that can process `dir`.
-    fn eligible(&self, dir: Direction) -> Vec<usize> {
-        (0..self.workers.len())
-            .filter(|&i| self.workers[i].supports(dir))
-            .collect()
-    }
-
+    /// Runs one job: parallel modes shard across every capable core in
+    /// the granule plan; a chained stream runs whole on the capable core
+    /// with the least cycles on its clock.
     fn dispatch(&mut self, mode: Mode, data: &mut [u8]) -> Result<(), JobError> {
         let dir = mode.direction();
-        let eligible = self.eligible(dir);
+        let eligible: Vec<usize> = (0..self.workers.len())
+            .filter(|&i| self.workers[i].supports(dir))
+            .collect();
         if eligible.is_empty() {
             return Err(JobError::NoCapableCore { dir });
         }
-        match mode {
-            Mode::EcbEncrypt | Mode::EcbDecrypt => self.run_ecb(&eligible, dir, data),
-            Mode::Ctr(nonce) => self.run_ctr(&eligible, &nonce, data),
-            // Chained modes: block `i+1` depends on block `i`, so the
-            // whole stream goes to the single least-loaded eligible core.
-            _ => {
-                let w = *eligible
-                    .iter()
-                    .min_by_key(|&&i| self.workers[i].cycles())
-                    .expect("eligible is non-empty");
-                run_on_one(self.workers[w].as_mut(), mode, data)
-            }
+        if !mode.is_parallel() {
+            let w = *eligible
+                .iter()
+                .min_by_key(|&&i| self.workers[i].cycles())
+                .expect("eligible is non-empty");
+            return run_span(self.workers[w].as_mut(), mode, 0, data);
         }
-    }
-
-    /// Evenly shards `n` items across `k` shares: the first `n % k`
-    /// shares get one extra item.
-    fn shares(n: usize, k: usize) -> Vec<usize> {
-        let base = n / k;
-        (0..k).map(|i| base + usize::from(i < n % k)).collect()
-    }
-
-    /// Shards `n` blocks across `k` shares in multiples of the bitsliced
-    /// 8-block granule: whole granules are distributed evenly, then the
-    /// last non-empty share gives back the padding so the total is
-    /// exactly `n`. Every share but possibly the last is a multiple of 8,
-    /// which keeps the bitsliced backend's passes full; only one core
-    /// ever sees a ragged (padded) granule. Shared with the thread
-    /// [`pool`](crate::pool), which deals the same granule plan across
-    /// worker deques.
-    pub(crate) fn shares_batched(n: usize, k: usize) -> Vec<usize> {
-        const GRANULE: usize = 8;
-        let mut out: Vec<usize> = Self::shares(n.div_ceil(GRANULE), k)
-            .into_iter()
-            .map(|g| g * GRANULE)
-            .collect();
-        let mut excess = out.iter().sum::<usize>() - n;
-        for share in out.iter_mut().rev() {
-            if *share > 0 {
-                *share -= excess;
-                excess = 0;
-                break;
-            }
-        }
-        debug_assert_eq!(excess, 0);
-        out
-    }
-
-    /// ECB: independent whole blocks, sharded across every eligible core
-    /// in granule multiples and submitted through each core's widest
-    /// batch path — in place, no staging copies.
-    fn run_ecb(
-        &mut self,
-        eligible: &[usize],
-        dir: Direction,
-        data: &mut [u8],
-    ) -> Result<(), JobError> {
-        let n = data.len() / BLOCK;
-        let mut offset = 0;
-        for (&w, share) in eligible.iter().zip(Self::shares_batched(n, eligible.len())) {
-            if share == 0 {
-                continue;
-            }
-            let span = &mut data[offset..offset + share * BLOCK];
-            run_ecb_span(self.workers[w].as_mut(), dir, span)?;
-            offset += share * BLOCK;
+        for shard in plan_shards(data.len(), eligible.len()) {
+            let backend = self.workers[eligible[shard.pos]].as_mut();
+            run_span(backend, mode, shard.first_block, &mut data[shard.bytes])?;
         }
         Ok(())
     }
-
-    /// CTR: each core generates the keystream for its contiguous span of
-    /// counter values (SP 800-38A increment, so spans are just offsets)
-    /// and XORs it into its span of the buffer.
-    fn run_ctr(
-        &mut self,
-        eligible: &[usize],
-        nonce: &[u8; 16],
-        data: &mut [u8],
-    ) -> Result<(), JobError> {
-        let n = data.len().div_ceil(BLOCK);
-        let mut first_block = 0usize;
-        for (&w, share) in eligible.iter().zip(Self::shares_batched(n, eligible.len())) {
-            if share == 0 {
-                continue;
-            }
-            let end = data.len().min((first_block + share) * BLOCK);
-            let span = &mut data[first_block * BLOCK..end];
-            run_ctr_span(self.workers[w].as_mut(), nonce, first_block as u128, span)?;
-            first_block += share;
-        }
-        Ok(())
-    }
-}
-
-/// One ECB span on one backend: whole blocks through the widest batch
-/// path, in place. The single-backend executor both the virtual-time
-/// [`Engine`] and the thread [`pool`](crate::pool) shard over.
-pub(crate) fn run_ecb_span(
-    backend: &mut dyn Backend,
-    dir: Direction,
-    data: &mut [u8],
-) -> Result<(), JobError> {
-    let (blocks, rest) = data.as_chunks_mut::<BLOCK>();
-    debug_assert!(rest.is_empty(), "length validated at submission");
-    backend.process_batch(blocks, dir)?;
-    Ok(())
-}
-
-/// One CTR span on one backend: generates the keystream for the span's
-/// contiguous counter values (SP 800-38A increment; `first_block` is the
-/// span's offset into the stream) and XORs it into `data` in place.
-/// Counter blocks are precomputed with [`Ctr::fill_counter_blocks`] —
-/// one scratch buffer per span, no per-block allocation.
-pub(crate) fn run_ctr_span(
-    backend: &mut dyn Backend,
-    nonce: &[u8; 16],
-    first_block: u128,
-    data: &mut [u8],
-) -> Result<(), JobError> {
-    let mut counters = vec![[0u8; 16]; data.len().div_ceil(BLOCK)];
-    Ctr::fill_counter_blocks(nonce, first_block, &mut counters);
-    backend.process_batch(&mut counters, Direction::Encrypt)?;
-    for (chunk, keystream) in data.chunks_mut(BLOCK).zip(counters.iter()) {
-        for (byte, k) in chunk.iter_mut().zip(keystream) {
-            *byte ^= k;
-        }
-    }
-    Ok(())
-}
-
-/// Runs a whole mode operation on a single backend: parallel modes take
-/// their span executors over the full buffer, chained modes drive the
-/// object-safe [`rijndael::Mode`] trait through a [`BackendCipher`]
-/// adapter. Used by the [`Engine`] for chained routing and by the thread
-/// [`pool`](crate::pool) for pinned (unsharded) tasks of every mode.
-pub(crate) fn run_on_one(
-    backend: &mut dyn Backend,
-    mode: Mode,
-    data: &mut [u8],
-) -> Result<(), JobError> {
-    let (chained, iv, encrypt): (&dyn rijndael::Mode, [u8; 16], bool) = match mode {
-        Mode::EcbEncrypt => return run_ecb_span(backend, Direction::Encrypt, data),
-        Mode::EcbDecrypt => return run_ecb_span(backend, Direction::Decrypt, data),
-        Mode::Ctr(nonce) => return run_ctr_span(backend, &nonce, 0, data),
-        Mode::CbcEncrypt(iv) => (&Cbc, iv, true),
-        Mode::CbcDecrypt(iv) => (&Cbc, iv, false),
-        Mode::CfbEncrypt(iv) => (&Cfb, iv, true),
-        Mode::CfbDecrypt(iv) => (&Cfb, iv, false),
-        Mode::Ofb(iv) => (&Ofb, iv, true),
-    };
-    let iv = Iv::from(iv);
-    let adapter = BackendCipher::new(backend);
-    let result = if encrypt {
-        chained.encrypt_in_place(&adapter, &iv, data)
-    } else {
-        chained.decrypt_in_place(&adapter, &iv, data)
-    };
-    // A backend fault trumps the mode result: the mode layer saw stale
-    // bytes after the latched fault, not an input problem.
-    if let Some(e) = adapter.fault() {
-        return Err(e.into());
-    }
-    result.expect("mode inputs validated at submission");
-    Ok(())
 }
 
 impl fmt::Debug for Engine {
@@ -770,7 +239,7 @@ impl fmt::Debug for Engine {
         f.debug_struct("Engine")
             .field("cores", &self.cores())
             .field("queued", &self.queue.len())
-            .field("capacity", &self.capacity)
+            .field("capacity", &self.gate.capacity)
             .finish()
     }
 }
@@ -778,68 +247,20 @@ impl fmt::Debug for Engine {
 impl Drop for Engine {
     /// Returns queued-but-never-run jobs to the depth gauge and pushes
     /// the final counter deltas, so a shared registry stays coherent
-    /// after per-session engines come and go.
+    /// after engines come and go.
     fn drop(&mut self) {
-        if !self.queue.is_empty() {
-            self.queue_depth.sub(self.queue.len() as i64);
-        }
+        self.gate.abandon(self.queue.len());
         self.sync_telemetry();
-    }
-}
-
-/// Adapts one `&mut dyn Backend` to the shared-reference [`BlockCipher`]
-/// trait the mode implementations expect. The modes never see errors, so
-/// a backend fault is latched here: the first error is recorded, later
-/// blocks are skipped, and the caller checks [`BackendCipher::fault`]
-/// after the mode pass.
-struct BackendCipher<'a> {
-    backend: RefCell<&'a mut dyn Backend>,
-    fault: Cell<Option<BackendError>>,
-}
-
-impl<'a> BackendCipher<'a> {
-    fn new(backend: &'a mut dyn Backend) -> Self {
-        BackendCipher {
-            backend: RefCell::new(backend),
-            fault: Cell::new(None),
-        }
-    }
-
-    fn fault(&self) -> Option<BackendError> {
-        self.fault.get()
-    }
-
-    fn process(&self, block: &mut [u8], dir: Direction) {
-        if self.fault.get().is_some() {
-            return;
-        }
-        let mut buf: [u8; 16] = block.try_into().expect("modes pass whole blocks");
-        match self.backend.borrow_mut().process_block(&mut buf, dir) {
-            Ok(()) => block.copy_from_slice(&buf),
-            Err(e) => self.fault.set(Some(e)),
-        }
-    }
-}
-
-impl BlockCipher for BackendCipher<'_> {
-    fn block_len(&self) -> usize {
-        BLOCK
-    }
-
-    fn encrypt_in_place(&self, block: &mut [u8]) {
-        self.process(block, Direction::Encrypt);
-    }
-
-    fn decrypt_in_place(&self, block: &mut [u8]) {
-        self.process(block, Direction::Decrypt);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aes_ip::core::LATENCY_CYCLES;
-    use rijndael::modes::Ecb;
+    use crate::backend::BackendError;
+    use crate::job::{shares, shares_batched};
+    use aes_ip::core::{Direction, LATENCY_CYCLES};
+    use rijndael::modes::{Cbc, Cfb, Ctr, Ecb, Ofb};
     use rijndael::Aes128;
 
     const KEY: [u8; 16] = [
@@ -853,25 +274,25 @@ mod tests {
 
     #[test]
     fn shares_split_evenly() {
-        assert_eq!(Engine::shares(10, 3), vec![4, 3, 3]);
-        assert_eq!(Engine::shares(2, 4), vec![1, 1, 0, 0]);
-        assert_eq!(Engine::shares(0, 2), vec![0, 0]);
-        assert_eq!(Engine::shares(8, 1), vec![8]);
+        assert_eq!(shares(10, 3), vec![4, 3, 3]);
+        assert_eq!(shares(2, 4), vec![1, 1, 0, 0]);
+        assert_eq!(shares(0, 2), vec![0, 0]);
+        assert_eq!(shares(8, 1), vec![8]);
     }
 
     #[test]
     fn shares_batched_deals_whole_granules_and_trims_the_tail() {
         // Whole granules spread evenly, exact total preserved.
-        assert_eq!(Engine::shares_batched(24, 3), vec![8, 8, 8]);
-        assert_eq!(Engine::shares_batched(64, 3), vec![24, 24, 16]);
+        assert_eq!(shares_batched(24, 3), vec![8, 8, 8]);
+        assert_eq!(shares_batched(64, 3), vec![24, 24, 16]);
         // Padding comes back out of the last non-empty share.
-        assert_eq!(Engine::shares_batched(7, 3), vec![7, 0, 0]);
-        assert_eq!(Engine::shares_batched(11, 4), vec![8, 3, 0, 0]);
-        assert_eq!(Engine::shares_batched(65, 2), vec![40, 25]);
-        assert_eq!(Engine::shares_batched(0, 2), vec![0, 0]);
+        assert_eq!(shares_batched(7, 3), vec![7, 0, 0]);
+        assert_eq!(shares_batched(11, 4), vec![8, 3, 0, 0]);
+        assert_eq!(shares_batched(65, 2), vec![40, 25]);
+        assert_eq!(shares_batched(0, 2), vec![0, 0]);
         // Every share except the trimmed one is a granule multiple.
         for (n, k) in [(123, 5), (8, 4), (100, 3)] {
-            let shares = Engine::shares_batched(n, k);
+            let shares = shares_batched(n, k);
             assert_eq!(shares.iter().sum::<usize>(), n, "shares_batched({n},{k})");
             let ragged = shares.iter().filter(|s| *s % 8 != 0).count();
             assert!(ragged <= 1, "shares_batched({n},{k}) = {shares:?}");

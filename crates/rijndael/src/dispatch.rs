@@ -406,7 +406,7 @@ impl AutoCipher {
     /// Builds the cipher the process-wide [`selection`] picked for the
     /// bulk lane, or `None` when the selection (necessarily forced) is
     /// [`Kind::IpCore`], which has no in-crate cipher — callers then
-    /// route everything through an engine farm instead. `key` is 16, 24,
+    /// fall back to another kind or route through an engine farm. `key` is 16, 24,
     /// or 32 bytes (AES-128/192/256).
     ///
     /// # Panics

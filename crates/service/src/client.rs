@@ -583,8 +583,8 @@ impl Client {
 
     /// Fetches the server's telemetry snapshot: the `telemetry/1` JSON
     /// document with per-opcode request counts, error tallies,
-    /// connection gauges and every session engine's `engine.*`
-    /// instruments. Works without a session.
+    /// connection gauges and the `engine.*` instruments of every
+    /// session's worker pool. Works without a session.
     ///
     /// # Errors
     ///

@@ -11,11 +11,12 @@
 //!   strict frame size limits, typed error replies instead of
 //!   disconnects, and — in v2 — a correlation id that makes request
 //!   pipelining with out-of-order replies well-defined;
-//! * [`session`] — per-connection key management: `SET_KEY` builds a
-//!   fresh engine farm and worker pool plus one shared software key
-//!   schedule; key material is never echoed and wipes itself on
-//!   teardown or re-key; a job either runs on the caller's thread or, if
-//!   pipelined and bulk, on the worker pool;
+//! * [`session`] — per-connection key management: `SET_KEY` expands one
+//!   shared software key schedule and configures a worker pool that keys
+//!   its farm on its first bulk job; key material is never echoed and
+//!   wipes itself on teardown or re-key; a job either runs on the
+//!   caller's thread on the shared schedule or, if pipelined and bulk,
+//!   on the worker pool;
 //! * [`net`] — the std-only readiness shim (`poll(2)` by direct FFI)
 //!   that lets the server watch thousands of nonblocking sockets
 //!   without external crates;
@@ -34,8 +35,8 @@
 //!   the cluster router, so callers swap between them without code
 //!   changes.
 //!
-//! Every server owns a [`telemetry::Registry`] that its session engines
-//! publish into; `GET_STATS` ([`Client::stats`]) returns one snapshot of
+//! Every server owns a [`telemetry::Registry`] that its sessions' worker
+//! pools publish into; `GET_STATS` ([`Client::stats`]) returns one snapshot of
 //! it as the stable `telemetry/1` JSON document, and engine failures map
 //! onto wire [`ErrorCode`]s through a single `engine::Error` match in
 //! the server.

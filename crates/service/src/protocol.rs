@@ -91,7 +91,7 @@ pub const MAX_FRAME_LEN: usize = HEADER_LEN_V2 + MAX_PAYLOAD;
 #[repr(u8)]
 pub enum Op {
     /// Load an AES key (16, 24 or 32 bytes — AES-128/192/256): creates a
-    /// fresh session bound to the server's engine farm and invalidates
+    /// fresh session bound to the server's farm configuration and invalidates
     /// the previous one. Payload: the key (any other length is
     /// [`ErrorCode::BadKeyLength`]). Reply: [`Status::Ok`] with the new
     /// session id in the header's `session` field.
@@ -103,7 +103,7 @@ pub enum Op {
     /// else is [`ErrorCode::Malformed`]). Reply: [`Status::Ok`] whose
     /// payload is the `telemetry/1` JSON document (UTF-8) — per-opcode
     /// request counts, error tallies, connection gauges, and every
-    /// session engine's `engine.*` instruments. Needs no session.
+    /// session worker pool's `engine.*` instruments. Needs no session.
     GetStats = 0x04,
     /// Re-key from an RFC 3394 wrapped blob: the server unwraps the
     /// payload under the **live session's** key (which acts as the KEK)

@@ -38,11 +38,14 @@
 //! emitted when the job completes — in completion order, which is not
 //! submission order. A v2 client may therefore keep an arbitrary
 //! pipeline depth per connection. Bulk payloads hand off to the
-//! session's worker pool ([`engine::WorkerPool`]) and never run crypto
-//! on the shard thread; a full pool answers a typed
-//! [`ErrorCode::Busy`]. Each shard parks a self-pipe wake fd in its poll
-//! set: a pool completion, or the acceptor handing over a new socket,
-//! cuts the poll short so the reply goes out immediately.
+//! session's worker pool ([`engine::WorkerPool`], the session's only
+//! farm) and never run crypto on the shard thread; a full pool answers a
+//! typed [`ErrorCode::Busy`]. Everything else — every v1 request and
+//! every v2 request under [`crate::session::BULK_THRESHOLD`] — runs on
+//! the shard thread on the session's one shared software schedule.
+//! Each shard parks a self-pipe wake fd in its poll set: a pool
+//! completion, or the acceptor handing over a new socket, cuts the poll
+//! short so the reply goes out immediately.
 //!
 //! # Telemetry
 //!
@@ -52,9 +55,10 @@
 //! gauge (`service.pipeline.inflight`), readiness-loop histograms
 //! (`service.loop.events_per_poll`, `service.loop.dispatch_micros`), a
 //! request frame-size histogram, admission refusals, and — because each
-//! session's engine is built against the same registry — the full
-//! `engine.*` instrument set. `GET_STATS` serialises one snapshot of
-//! that registry as the `telemetry/1` JSON document;
+//! session's worker pool is built against the same registry — the full
+//! `engine.*` instrument set, which counts pool-lane jobs only.
+//! `GET_STATS` serialises one snapshot of that registry as the
+//! `telemetry/1` JSON document;
 //! [`ServiceHandle::registry`] exposes the same registry in-process, so
 //! there is exactly one counter path.
 //!
@@ -138,15 +142,16 @@ const DISPATCH_BOUNDS: [u64; 8] = [10, 50, 100, 500, 1_000, 5_000, 10_000, 100_0
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct ServiceConfig {
-    /// Engine farm built for every session (each connection keys its
-    /// own copy, so farms are not shared across clients). The default is
-    /// [`BackendSpec::Auto`] slots: the runtime dispatch decision, so a
-    /// portable binary still lands on AES-NI/AVX2 where the serving CPU
-    /// has them.
+    /// The worker-pool farm behind every session's v2 bulk lane (each
+    /// connection keys its own copy, on its first bulk request, so farms
+    /// are not shared across clients). Requests on the caller-thread
+    /// lane never reach it. The default is [`BackendSpec::Auto`] slots:
+    /// the runtime dispatch decision, so a portable binary still lands on
+    /// AES-NI/AVX2 where the serving CPU has them.
     pub farm: Vec<BackendSpec>,
     /// Bound on each session's open pipelined bulk jobs (its worker
-    /// pool) and on its engine queue; a v2 bulk request beyond it earns a
-    /// typed [`ErrorCode::Busy`] reply.
+    /// pool); a v2 bulk request beyond it earns a typed
+    /// [`ErrorCode::Busy`] reply.
     pub queue_capacity: usize,
     /// Connection admission cap.
     pub max_connections: usize,
@@ -192,7 +197,7 @@ impl Default for ServiceConfig {
 /// Typed rejection from [`ServiceConfigBuilder::build`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConfigError {
-    /// The engine farm has no backend slots: sessions could never run a
+    /// The farm has no backend slots: sessions could never run a bulk
     /// job.
     EmptyFarm,
     /// Zero shard event-loop threads: no thread would ever service a
@@ -242,8 +247,8 @@ pub struct ServiceConfigBuilder {
 }
 
 impl ServiceConfigBuilder {
-    /// The engine farm built for every session (one backend slot per
-    /// entry).
+    /// The worker-pool farm behind every session's bulk lane (one
+    /// backend slot per entry; see [`ServiceConfig::farm`]).
     #[must_use]
     pub fn farm(mut self, farm: &[BackendSpec]) -> Self {
         self.config.farm = farm.to_vec();
@@ -453,7 +458,7 @@ impl ServiceHandle {
     }
 
     /// The server's telemetry registry — the same one `GET_STATS`
-    /// snapshots, and the one every session engine publishes into.
+    /// snapshots, and the one every session's worker pool publishes into.
     #[must_use]
     pub fn registry(&self) -> &Registry {
         &self.shared.registry
@@ -1642,11 +1647,12 @@ mod tests {
             snap.gauge("engine.workers").unwrap_or(0) >= 1,
             "bulk traffic must have spun up pool workers"
         );
-        // The pool (not the inline lane) must have run the jobs: the
-        // only engine-counted work this test generates is the bulk
-        // bursts, and they all land on the pool's completion counter.
-        assert!(
-            snap.counter("engine.jobs.completed").unwrap_or(0) >= u64::from(depth),
+        // The pool (not the inline lane) must have run the jobs: pool
+        // jobs are the only engine-counted work, and this test generates
+        // exactly `depth` of them.
+        assert_eq!(
+            snap.counter("engine.jobs.completed"),
+            Some(u64::from(depth)),
             "bulk v2 jobs must complete through the worker pool"
         );
         server.shutdown();

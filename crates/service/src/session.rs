@@ -1,34 +1,36 @@
-//! Per-connection sessions: key management over an engine farm.
+//! Per-connection sessions: key management over one shared schedule
+//! and a lazily started worker pool.
 //!
-//! A `SET_KEY` request creates a [`Session`]: a fresh [`Engine`] farm and
-//! [`WorkerPool`] keyed with the submitted key (every backend pays its
-//! real key-setup cycles), plus **one** software schedule — the
-//! dispatch-selected [`AutoCipher`], shared through an [`Arc`] by every
-//! lane that runs outside the farm: CMAC, key wrap, the [`Gcm`] lane, both
-//! halves of the [`Xts`] lane and the inline bulk path. When the
-//! deployment is pinned to the batch-less `ip-core`, that schedule is the
-//! T-table kind and the bulk path stays off, so ECB/CTR still reach the
-//! farm. Keys may be 16, 24 or 32 bytes (AES-128/192/256); the modeled IP
-//! cores are AES-128-only, so longer keys divert their farm slots to the
-//! software fallback backend. The key is never echoed on the wire and
-//! the only raw copy kept is the worker pool's (it must key grown and
-//! hot-swapped workers at runtime); when the session is dropped —
-//! connection teardown, idle expiry, or a re-key replacing it — that
-//! copy and the expanded schedules wipe themselves (`rijndael::zeroize`)
-//! and the hardware backends reload an all-zero key.
+//! A `SET_KEY` request creates a [`Session`]: **one** software schedule
+//! — the dispatch-selected [`AutoCipher`], shared through an [`Arc`] by
+//! every caller-thread lane: the block modes, CMAC, key wrap, the [`Gcm`]
+//! lane and both halves of the [`Xts`] lane — plus a [`WorkerPool`] over
+//! the configured farm. The pool is the session's only farm and serves
+//! only v2 bulk jobs; it keys its backends and spawns its threads on the
+//! first such job, so a session that never sees one keys no farm
+//! backend at all. When the deployment is pinned to the batch-less
+//! `ip-core`, the shared schedule is the T-table kind, so only pool jobs
+//! reach the IP-core models. Keys may be 16, 24 or 32 bytes
+//! (AES-128/192/256); the modeled IP cores are AES-128-only, so longer
+//! keys divert their farm slots to the software fallback backend. The
+//! key is never echoed on the wire and the only raw copy kept is the
+//! worker pool's (it must key its workers at runtime); when the session
+//! is dropped — connection teardown, idle expiry, or a re-key replacing
+//! it — that copy and the expanded schedules wipe themselves
+//! (`rijndael::zeroize`) and the hardware backends reload an all-zero
+//! key.
 //!
-//! Every session engine publishes into the registry handed to
-//! [`Session::new`] — the server passes its service-wide
-//! [`telemetry::Registry`], so the `engine.core.*` counters a `GET_STATS`
-//! reply carries aggregate over every session the server ever keyed.
+//! The pool publishes into the registry handed to [`Session::new`] —
+//! the server passes its service-wide [`telemetry::Registry`], so the
+//! `engine.*` instruments a `GET_STATS` reply carries aggregate over
+//! every session's pool lane.
 //!
-//! Jobs take one of two paths. [`Session::execute`] runs on the
-//! caller's thread: payloads of [`BULK_THRESHOLD`] bytes or more in ECB
-//! or CTR go through the shared cipher's widest batch path, everything
-//! else through the engine farm, drained at once. [`Session::submit`]
-//! (protocol v2) tags a job with the request's correlation id: a small
-//! job runs the same caller-thread path and parks its result, a bulk job
-//! goes to the worker pool, whose bounded capacity surfaces as
+//! Jobs take one of two paths. [`Session::execute`] runs every mode at
+//! every size on the caller's thread, on the shared schedule.
+//! [`Session::submit`] (protocol v2) tags a job with the request's
+//! correlation id: a job under [`BULK_THRESHOLD`] bytes runs the same
+//! caller-thread path and parks its result, a bulk job goes to the
+//! worker pool, whose bounded capacity surfaces as
 //! [`SubmitError::Busy`]. [`Session::collect`] returns every finished
 //! job in **completion order** — across the pool's threads that is not
 //! submission order, which is the out-of-order property the v2 wire
@@ -37,40 +39,33 @@
 use std::sync::Arc;
 
 use engine::{
-    BackendSpec, Engine, EngineBuilder, Error, JobId, Mode, PoolBuilder, ResizeAction,
-    ResizePolicy, SubmitError, WorkerPool,
+    BackendSpec, Error, JobId, Mode, PoolBuilder, ResizeAction, ResizePolicy, SubmitError,
+    WorkerPool,
 };
 use rijndael::aead::{self, Aead, Gcm, Xts, NONCE_LEN};
-use rijndael::dispatch::{self, Kind};
+use rijndael::dispatch::Kind;
 use rijndael::modes::{Ctr, Ecb};
 use rijndael::{cmac, AutoCipher};
 use telemetry::Registry;
 
-/// Payload size (eight 16-byte blocks) from which ECB/CTR requests run
-/// on the session's shared dispatched cipher instead of the engine farm
-/// ([`Session::execute`]), and pipelined requests go to the worker pool
-/// ([`Session::submit`]).
+/// Payload size (eight 16-byte blocks) from which pipelined requests go
+/// to the worker pool ([`Session::submit`]).
 pub const BULK_THRESHOLD: usize = 8 * 16;
 
-/// One keyed session: an engine farm, a worker pool, the one shared
-/// software schedule and the bookkeeping for pipelined jobs.
+/// One keyed session: the one shared software schedule, a worker pool
+/// and the bookkeeping for pipelined jobs.
 pub struct Session {
     id: u32,
-    engine: Engine,
-    /// The thread worker pool behind the pipelined *bulk* lane: v2
+    /// The session's only farm, behind the pipelined *bulk* lane: v2
     /// requests of [`BULK_THRESHOLD`] bytes or more run here, off the
     /// event-loop thread, so one large job does not head-of-line-block
-    /// every connection on the shard. Worker threads spawn lazily on the
-    /// first such request, so small-traffic sessions cost none.
+    /// every connection on the shard. Worker threads spawn (and key
+    /// their backends) lazily on the first such request, so small-traffic
+    /// sessions cost none.
     pool: WorkerPool,
-    /// The session key's one software schedule, read by CMAC, key wrap
-    /// and the bulk path; `aead` and `xts` hold clones of the same `Arc`.
+    /// The session key's one software schedule, read by the block modes,
+    /// CMAC and key wrap; `aead` and `xts` hold clones of the same `Arc`.
     cipher: Arc<AutoCipher>,
-    /// Whether ECB/CTR payloads of [`BULK_THRESHOLD`] bytes or more run
-    /// inline on `cipher`. Off when `RIJNDAEL_FORCE_BACKEND=ip-core` pins
-    /// the deployment to the hardware model: bulk traffic then rides the
-    /// engine farm like everything else.
-    bulk: bool,
     /// GCM lane for the SEAL/OPEN ops.
     aead: Gcm<Arc<AutoCipher>>,
     /// XTS lane for the sector-addressed wire ops. Single-key
@@ -86,11 +81,11 @@ pub struct Session {
 }
 
 impl Session {
-    /// Keys a new session: builds the engine farm, the worker pool and
-    /// the shared software schedule from `key`, wiring their telemetry
-    /// into `registry`. The caller owns (and should wipe) its copy of
-    /// the key bytes; this type keeps only expanded material (and the
-    /// pool's copy), which self-wipes on drop.
+    /// Keys a new session: expands the shared software schedule from
+    /// `key` and configures the worker pool over `farm`, wiring its
+    /// telemetry into `registry`. The caller owns (and should wipe) its
+    /// copy of the key bytes; this type keeps only expanded material
+    /// (and the pool's copy), which self-wipes on drop.
     ///
     /// # Panics
     ///
@@ -108,17 +103,11 @@ impl Session {
         let cipher = Arc::new(dispatched_cipher(key));
         Session {
             id,
-            engine: EngineBuilder::new()
-                .cores(farm)
-                .capacity(queue_capacity)
-                .registry(registry.clone())
-                .build(key),
             pool: PoolBuilder::new()
                 .cores(farm)
                 .capacity(queue_capacity)
                 .registry(registry.clone())
                 .build(key),
-            bulk: dispatch::selection().bulk != Kind::IpCore,
             aead: Gcm::new(Arc::clone(&cipher)),
             xts: Xts::new(Arc::clone(&cipher), Arc::clone(&cipher)),
             cipher,
@@ -168,46 +157,25 @@ impl Session {
         self.done.len() + self.pool_jobs.len()
     }
 
-    /// Runs one operation to completion on the caller's thread and
-    /// returns its output.
-    ///
-    /// ECB and CTR payloads of [`BULK_THRESHOLD`] bytes or more go
-    /// through the shared dispatched cipher's widest batch path.
-    /// Everything else — small payloads, the chained modes, and every
-    /// mode when the deployment is pinned to `ip-core` — runs through
-    /// the engine farm, which this call drains before returning.
+    /// Runs one operation to completion on the caller's thread, on the
+    /// shared schedule, and returns its output: ECB and CTR through the
+    /// cipher's widest batch path, the chained modes through the
+    /// object-safe [`rijndael::Mode`] trait.
     ///
     /// # Errors
     ///
-    /// [`Error::Submit`] when the buffer is ragged or the IV is bad;
-    /// [`Error::Job`] when a backend faults.
-    pub fn execute(&mut self, mode: Mode, mut data: Vec<u8>) -> Result<Vec<u8>, Error> {
-        if self.bulk && data.len() >= BULK_THRESHOLD {
-            let cipher = &*self.cipher;
-            match mode {
-                Mode::EcbEncrypt => {
-                    Ecb::encrypt_batched(cipher, &mut data)?;
-                    return Ok(data);
-                }
-                Mode::EcbDecrypt => {
-                    Ecb::decrypt_batched(cipher, &mut data)?;
-                    return Ok(data);
-                }
-                Mode::Ctr(nonce) => {
-                    Ctr::apply_batched(cipher, &nonce, 0, &mut data);
-                    return Ok(data);
-                }
-                _ => {}
-            }
+    /// [`Error::Submit`] when the buffer is ragged or the IV is bad.
+    pub fn execute(&self, mode: Mode, mut data: Vec<u8>) -> Result<Vec<u8>, Error> {
+        let cipher = &*self.cipher;
+        match (mode, mode.chained()) {
+            (_, Some((chained, iv, true))) => chained.encrypt_in_place(cipher, &iv, &mut data)?,
+            (_, Some((chained, iv, false))) => chained.decrypt_in_place(cipher, &iv, &mut data)?,
+            (Mode::EcbEncrypt, None) => Ecb::encrypt_batched(cipher, &mut data)?,
+            (Mode::EcbDecrypt, None) => Ecb::decrypt_batched(cipher, &mut data)?,
+            (Mode::Ctr(nonce), None) => Ctr::apply_batched(cipher, &nonce, 0, &mut data),
+            (_, None) => unreachable!("ECB and CTR are the only unchained modes"),
         }
-        // Every call drains the engine, so its queue holds only this job.
-        self.engine.try_submit(mode, data)?;
-        let out = self
-            .engine
-            .run()
-            .pop()
-            .expect("run() drains the job just submitted");
-        out.data.map_err(Error::from)
+        Ok(data)
     }
 
     /// Starts a pipelined job tagged with the request's correlation id;
@@ -386,8 +354,8 @@ impl SessionSlot {
     ) -> u32 {
         let id = self.next_id.max(1);
         self.next_id = id.wrapping_add(1);
-        // Assigning drops the previous session first-class: its engine
-        // backends and cipher schedules wipe their key material on drop.
+        // Assigning drops the previous session first-class: its pool
+        // backends and cipher schedule wipe their key material on drop.
         self.current = Some(Session::new(id, key, farm, queue_capacity, registry));
         id
     }
@@ -441,7 +409,7 @@ mod tests {
 
     #[test]
     fn execute_matches_the_software_reference() {
-        let mut s = session(8);
+        let s = session(8);
         let reference = Aes128::new(&KEY);
 
         let data = sample(4 * 16);
@@ -464,7 +432,7 @@ mod tests {
 
     #[test]
     fn bulk_lane_matches_the_software_reference() {
-        let mut s = session(8);
+        let s = session(8);
         let reference = Aes128::new(&KEY);
 
         // 24 blocks: well past the threshold, with a ragged granule tail.
@@ -487,7 +455,7 @@ mod tests {
 
     #[test]
     fn bulk_lane_rejects_ragged_ecb() {
-        let mut s = session(2);
+        let s = session(2);
         assert_eq!(
             s.execute(Mode::EcbEncrypt, sample(BULK_THRESHOLD + 1)),
             Err(Error::Submit(SubmitError::RaggedLength {
@@ -501,7 +469,7 @@ mod tests {
         let s = session(8);
         let schedule = Arc::clone(&s.cipher);
         // The session's own handle, the GCM lane and both XTS halves
-        // (CMAC, key wrap and the bulk path read the session's handle),
+        // (the block modes, CMAC and key wrap read the session's handle),
         // plus this test's.
         assert_eq!(Arc::strong_count(&schedule), 5);
         drop(s);
@@ -632,7 +600,7 @@ mod tests {
 
     #[test]
     fn ragged_blocks_are_rejected_without_holding_a_slot() {
-        let mut s = session(2);
+        let s = session(2);
         assert_eq!(
             s.execute(Mode::EcbEncrypt, sample(17)),
             Err(Error::Submit(SubmitError::RaggedLength { len: 17 }))
@@ -645,12 +613,58 @@ mod tests {
         let reg = Registry::new();
         let mut a = Session::new(1, &KEY, &farm(), 8, &reg);
         let mut b = Session::new(2, &KEY, &farm(), 8, &reg);
-        let _ = a.execute(Mode::EcbEncrypt, sample(4 * 16)).unwrap();
-        let _ = b.execute(Mode::EcbEncrypt, sample(2 * 16)).unwrap();
+        a.submit(1, Mode::EcbEncrypt, sample(16 * 16)).unwrap();
+        b.submit(2, Mode::EcbEncrypt, sample(8 * 16)).unwrap();
+        assert!(collect_n(&mut a, 1)[0].1.is_ok());
+        assert!(collect_n(&mut b, 1)[0].1.is_ok());
         let snap = reg.snapshot();
         let stats = engine::FarmStats::from_snapshot(&snap);
-        assert_eq!(stats.total_blocks(), 6);
+        assert_eq!(stats.total_blocks(), 24);
         assert_eq!(snap.counter("engine.jobs.completed"), Some(2));
+    }
+
+    #[test]
+    fn caller_thread_lanes_key_no_farm_backend() {
+        let reg = Registry::new();
+        let mut s = Session::new(1, &KEY, &farm(), 8, &reg);
+        let iv = [3u8; 16];
+        for len in [16, 1024] {
+            for mode in [
+                Mode::EcbEncrypt,
+                Mode::EcbDecrypt,
+                Mode::CbcEncrypt(iv),
+                Mode::CbcDecrypt(iv),
+                Mode::Ctr(iv),
+                Mode::CfbEncrypt(iv),
+                Mode::CfbDecrypt(iv),
+                Mode::Ofb(iv),
+            ] {
+                assert_eq!(s.execute(mode, sample(len)).unwrap().len(), len, "{mode}");
+            }
+        }
+        s.submit(7, Mode::Ctr(iv), sample(BULK_THRESHOLD - 1))
+            .unwrap();
+        assert!(s.collect()[0].1.is_ok());
+        // The pool never admitted a job, so it never keyed a backend or
+        // spawned a worker: no per-core instrument exists yet.
+        let snap = reg.snapshot();
+        let core_entries = |snap: &telemetry::Snapshot| {
+            snap.entries()
+                .iter()
+                .filter(|e| e.name.starts_with("engine.core."))
+                .count()
+        };
+        assert_eq!(core_entries(&snap), 0);
+        assert_eq!(snap.counter("engine.submit.accepted"), Some(0));
+
+        // One bulk job starts the pool: its workers key their backends
+        // and register their per-core instruments.
+        s.submit(8, Mode::Ctr(iv), sample(BULK_THRESHOLD)).unwrap();
+        assert!(collect_n(&mut s, 1)[0].1.is_ok());
+        let snap = reg.snapshot();
+        assert!(core_entries(&snap) > 0);
+        assert_eq!(snap.counter("engine.submit.accepted"), Some(1));
+        assert_eq!(snap.gauge("engine.workers"), Some(farm().len() as i64));
     }
 
     #[test]
@@ -760,19 +774,19 @@ mod tests {
         let mut s = Session::new(1, &key, &farm(), 8, &Registry::new());
         let reference = Aes256::new(key.as_slice().try_into().unwrap());
 
-        // Small payload: engine farm (ip-core slots divert to software).
+        // Small payload: the caller-thread lane.
         let data = sample(2 * 16);
         let ct = s.execute(Mode::EcbEncrypt, data.clone()).unwrap();
         let mut expect = data.clone();
         Ecb::encrypt(&reference, &mut expect).unwrap();
         assert_eq!(ct, expect);
 
-        // Bulk payload: the dispatched lane.
+        // Bulk payload: the pool lane (ip-core slots divert to software).
         let data = sample(24 * 16);
-        let ct = s.execute(Mode::EcbEncrypt, data.clone()).unwrap();
+        s.submit(1, Mode::EcbEncrypt, data.clone()).unwrap();
         let mut expect = data;
         Ecb::encrypt(&reference, &mut expect).unwrap();
-        assert_eq!(ct, expect);
+        assert_eq!(collect_n(&mut s, 1)[0].1, Ok(expect));
     }
 
     #[test]

@@ -97,6 +97,11 @@ echo "==> serving-stack benchmark (builds against the service API + its unit tes
 # workspace steps above never compile it.
 cargo build -q --release --locked --offline --manifest-path servebench/Cargo.toml
 cargo test -q --release --locked --offline --manifest-path servebench/Cargo.toml
+# One short traced run: the layer ledger checks its Engine, pool and
+# Session probes against reference outputs, and the server audit checks
+# GET_STATS against the exact op tallies; either mismatch exits nonzero.
+cargo run --release --quiet --locked --offline --manifest-path servebench/Cargo.toml -- \
+    --workload rekey_churn --seed 1 --seconds 3 --trace 1
 
 echo "==> cluster subsystem tests (ring, router, drain migration, node loss)"
 cargo test -q -p rijndael-cluster --locked --offline

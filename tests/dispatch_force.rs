@@ -70,7 +70,7 @@ fn forced_backend_pins_dispatch_and_shows_up_in_get_stats() {
     );
 
     // Layer 4: the full service — the forced name is what GET_STATS
-    // reports after bulk and small traffic.
+    // reports after small and bulk traffic.
     let server = Server::new(
         ServiceConfig::builder()
             .farm(&[BackendSpec::Auto; 2])
@@ -86,10 +86,12 @@ fn forced_backend_pins_dispatch_and_shows_up_in_get_stats() {
 
     let mut client = Client::connect(server.local_addr()).expect("connect");
     client.set_key(&key).expect("SET_KEY");
-    // Small payload: rides the engine farm (the Auto slots).
+    // Small payload: runs on the session's shared schedule, which is
+    // the pinned kind too.
     let small = client.ecb_encrypt(&[0u8; 16]).expect("small ECB");
     assert_eq!(small, reference.encrypt_block(&[0u8; 16]));
-    // Bulk payload: rides the session's dispatched bulk lane.
+    // Bulk payload: a v2 request, so it rides the session's worker
+    // pool, whose Auto slots publish the per-core telemetry below.
     let bulk_pt = vec![0u8; 64 * 16];
     let bulk_ct = client.ecb_encrypt(&bulk_pt).expect("bulk ECB");
     assert_eq!(&bulk_ct[..16], reference.encrypt_block(&[0u8; 16]));

@@ -63,10 +63,11 @@ fn spawn_server(farm: Vec<BackendSpec>, queue: usize) -> rijndael_ip::service::S
 }
 
 /// Thirty-two single-block ECB jobs in flight on one connection —
-/// depth 32, well past the acceptance floor of 16 — across a mixed
-/// farm whose cores finish at different speeds, so completion order is
-/// the engine's, not the submission's. Every completion must land on
-/// its own correlation id and match the published ciphertext block.
+/// depth 32, well past the acceptance floor of 16. Single blocks are
+/// under the bulk threshold, so they run on the session's caller-thread
+/// lane (the mixed farm only serves bulk jobs) and the client must not
+/// assume any reply order. Every completion must land on its own
+/// correlation id and match the published ciphertext block.
 #[test]
 fn depth_32_pipelined_blocks_correlate_against_kats() {
     let server = spawn_server(

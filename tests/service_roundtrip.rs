@@ -111,8 +111,9 @@ fn sp800_conversation(client: &mut dyn Transport) {
 
 #[test]
 fn four_concurrent_clients_roundtrip_published_kats() {
-    // A deliberately heterogeneous farm: every session shards its jobs
-    // over cycle-accurate hardware models and both software paths.
+    // A deliberately heterogeneous farm. The KAT conversations are all
+    // small synchronous requests, so they run on each session's shared
+    // schedule and never key the farm; the farm only backs bulk jobs.
     let server = spawn_server(
         vec![
             BackendSpec::EncDecCore,
@@ -202,18 +203,62 @@ fn busy_backpressure_surfaces_and_a_finished_job_frees_a_slot() {
 }
 
 #[test]
+fn a_job_the_farm_cannot_run_gets_a_typed_job_failed_reply() {
+    // An encrypt-only farm has no datapath for ECB decryption. Only the
+    // pool lane runs on the farm, so the bulk request fails typed while
+    // a small request on the same connection still succeeds.
+    let server = spawn_server(vec![BackendSpec::EncryptCore], 4);
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    client.set_key(&hex16(SP800_KEY)).expect("SET_KEY");
+
+    let (pt, ct) = bulk_ecb_vector();
+    let corr = client
+        .pipeline(Op::EcbDecrypt, None, &ct)
+        .expect("pipeline");
+    let job = client.collect_next().expect("collect");
+    assert_eq!(job.corr, corr);
+    assert_eq!(job.result, Err((ErrorCode::JobFailed, 0)));
+    assert_eq!(client.ping(b"still here").unwrap(), b"still here");
+    assert_eq!(
+        server
+            .registry()
+            .snapshot()
+            .counter("service.error.job_failed"),
+        Some(1)
+    );
+
+    // The caller-thread lane does not depend on what the farm can do.
+    assert_eq!(
+        client.ecb_decrypt(&ct[..16]).expect("small decrypt"),
+        pt[..16]
+    );
+    server.shutdown();
+}
+
+#[test]
 fn get_stats_matches_an_independently_computed_tally() {
     let server = spawn_server(vec![BackendSpec::Software; 2], 8);
     let mut client = Client::connect(server.local_addr()).expect("connect");
 
-    // Generate a workload whose books we keep by hand.
+    // Generate a workload whose books we keep by hand. Only pipelined
+    // bulk requests reach the farm (the session's worker pool), so the
+    // farm traffic is five of those; the small requests below run on
+    // the caller-thread lane and must not show up in the engine books.
     client.set_key(&hex16(SP800_KEY)).expect("SET_KEY");
-    let pt = hex(SP800_PT); // four blocks: small enough to ride the engine
+    let pt = hex(SP800_PT);
+    let (bulk_pt, bulk_ct) = (pt.repeat(8), hex(SP800_ECB_CT).repeat(8));
+    assert!(bulk_pt.len() >= BULK_THRESHOLD);
     let mut blocks = 0u64;
     for _ in 0..5 {
-        client.ecb_encrypt(&pt).expect("encrypt");
-        blocks += (pt.len() / 16) as u64;
+        client
+            .pipeline(Op::EcbEncrypt, None, &bulk_pt)
+            .expect("pipeline");
+        blocks += (bulk_pt.len() / 16) as u64;
     }
+    for job in client.collect_all().expect("collect") {
+        assert_eq!(job.result, Ok(bulk_ct.clone()));
+    }
+    client.ecb_encrypt(&pt).expect("small encrypt");
     for _ in 0..3 {
         client.ping(b"x").expect("ping");
     }
@@ -232,7 +277,7 @@ fn get_stats_matches_an_independently_computed_tally() {
     assert_eq!(json_counter(&json, "service.op.set_key.requests"), Some(1));
     assert_eq!(
         json_counter(&json, "service.op.ecb_encrypt.requests"),
-        Some(6)
+        Some(7)
     );
     assert_eq!(json_counter(&json, "service.op.ping.requests"), Some(3));
     assert_eq!(json_counter(&json, "service.error.ragged_length"), Some(1));
@@ -257,7 +302,7 @@ fn get_stats_matches_an_independently_computed_tally() {
     // The wire document and the in-process registry agree entry for
     // entry — there is exactly one counter path.
     let snap = server.registry().snapshot();
-    assert_eq!(snap.counter("service.op.ecb_encrypt.requests"), Some(6));
+    assert_eq!(snap.counter("service.op.ecb_encrypt.requests"), Some(7));
     assert_eq!(
         json_counter(&json, "service.connections.served"),
         snap.counter("service.connections.served")
