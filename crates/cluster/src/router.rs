@@ -23,7 +23,18 @@
 //!   with chain replay on the same node; if the node stays dead it is
 //!   marked `Down` and the call returns the typed
 //!   [`ClientError::NodeUnreachable`] instead of a raw I/O error.
-//!   Sessions on other nodes are untouched.
+//!   A request is retried once on the fresh connection; `collect_next`
+//!   is not (the lost connection took its pipelined jobs with it), so
+//!   it returns the transport error and leaves the session
+//!   re-established for the next call. Sessions on other nodes are
+//!   untouched.
+//!
+//! `ClusterClient` implements only the six-method wire core of
+//! [`Transport`], each method routed to the current session's
+//! [`Client`]; every typed op is the trait's provided method, so a
+//! fleet lays out payloads exactly as a single node does. It overrides
+//! just two ops: `ping`, which falls back to any `Up` node before the
+//! first session opens, and `stats`, which returns the fleet aggregate.
 
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
@@ -31,7 +42,7 @@ use std::thread;
 use std::time::Duration;
 
 use service::protocol::{PROTOCOL_V1, PROTOCOL_V2};
-use service::{Client, ClientError, Op, PipelinedJob, Transport};
+use service::{Client, ClientError, Frame, Op, PipelinedJob, Transport};
 
 use crate::ring::HashRing;
 use crate::stats;
@@ -289,12 +300,14 @@ impl ClusterClient {
         Ok(label)
     }
 
-    /// Runs `f` against the current session's connection, transparently
-    /// retrying once through a reconnect + chain replay on a transport
-    /// error. A node that stays dead surfaces as
-    /// [`ClientError::NodeUnreachable`].
+    /// Runs `f` against the current session's connection. A transport
+    /// error re-establishes the session (reconnect + chain replay) and,
+    /// when `retry` is set, runs `f` once more on the fresh connection;
+    /// without `retry` the original error is returned. A node that
+    /// stays dead surfaces as [`ClientError::NodeUnreachable`].
     fn with_current<R>(
         &mut self,
+        retry: bool,
         f: impl Fn(&mut Client) -> Result<R, ClientError>,
     ) -> Result<R, ClientError> {
         let label = self.current.ok_or_else(|| {
@@ -309,12 +322,11 @@ impl ClusterClient {
             match self.establish(entry.node, &entry.chain) {
                 Ok(fresh) => {
                     entry.client = fresh;
-                    result = f(&mut entry.client);
+                    if retry {
+                        result = f(&mut entry.client);
+                    }
                 }
-                Err(e) => {
-                    self.sessions.insert(label, entry);
-                    return Err(e);
-                }
+                Err(e) => result = Err(e),
             }
         }
         self.sessions.insert(label, entry);
@@ -475,6 +487,10 @@ impl std::fmt::Debug for ClusterClient {
 }
 
 impl Transport for ClusterClient {
+    fn call(&mut self, op: Op, parts: &[&[u8]]) -> Result<Frame, ClientError> {
+        self.with_current(true, |c| c.call(op, parts))
+    }
+
     /// Opens a **new cluster session** (placement, KEK wrap, re-key)
     /// and makes it current — the cluster analogue of a fresh
     /// `SET_KEY`. Returns the home node's wire session id.
@@ -484,7 +500,7 @@ impl Transport for ClusterClient {
     }
 
     fn set_key_wrapped(&mut self, wrapped: &[u8]) -> Result<u32, ClientError> {
-        let sid = self.with_current(|c| c.set_key_wrapped(wrapped))?;
+        let sid = self.with_current(true, |c| c.set_key_wrapped(wrapped))?;
         let label = self.current.expect("with_current verified this");
         if let Some(entry) = self.sessions.get_mut(&label) {
             // Extend the chain so migration can replay the re-key.
@@ -493,118 +509,22 @@ impl Transport for ClusterClient {
         Ok(sid)
     }
 
-    fn ping(&mut self, payload: &[u8]) -> Result<Vec<u8>, ClientError> {
-        if self.current.is_some() {
-            self.with_current(|c| c.ping(payload))
-        } else {
-            self.any_up()?.ping(payload)
-        }
-    }
-
-    fn ecb_encrypt(&mut self, plaintext: &[u8]) -> Result<Vec<u8>, ClientError> {
-        self.with_current(|c| c.ecb_encrypt(plaintext))
-    }
-
-    fn ecb_decrypt(&mut self, ciphertext: &[u8]) -> Result<Vec<u8>, ClientError> {
-        self.with_current(|c| c.ecb_decrypt(ciphertext))
-    }
-
-    fn cbc_encrypt(&mut self, iv: &[u8; 16], plaintext: &[u8]) -> Result<Vec<u8>, ClientError> {
-        self.with_current(|c| c.cbc_encrypt(iv, plaintext))
-    }
-
-    fn cbc_decrypt(&mut self, iv: &[u8; 16], ciphertext: &[u8]) -> Result<Vec<u8>, ClientError> {
-        self.with_current(|c| c.cbc_decrypt(iv, ciphertext))
-    }
-
-    fn ctr_apply(&mut self, counter: &[u8; 16], data: &[u8]) -> Result<Vec<u8>, ClientError> {
-        self.with_current(|c| c.ctr_apply(counter, data))
-    }
-
-    fn cmac_tag(&mut self, message: &[u8]) -> Result<[u8; 16], ClientError> {
-        self.with_current(|c| c.cmac_tag(message))
-    }
-
-    fn cmac_verify(&mut self, message: &[u8], tag: &[u8; 16]) -> Result<bool, ClientError> {
-        self.with_current(|c| c.cmac_verify(message, tag))
-    }
-
-    fn seal(
-        &mut self,
-        nonce: &[u8; 12],
-        aad: &[u8],
-        plaintext: &[u8],
-    ) -> Result<Vec<u8>, ClientError> {
-        self.with_current(|c| c.seal(nonce, aad, plaintext))
-    }
-
-    fn open(
-        &mut self,
-        nonce: &[u8; 12],
-        aad: &[u8],
-        sealed: &[u8],
-    ) -> Result<Option<Vec<u8>>, ClientError> {
-        self.with_current(|c| c.open(nonce, aad, sealed))
-    }
-
-    fn wrap_key(&mut self, key_data: &[u8]) -> Result<Vec<u8>, ClientError> {
-        self.with_current(|c| c.wrap_key(key_data))
-    }
-
-    fn unwrap_key(&mut self, wrapped: &[u8]) -> Result<Option<Vec<u8>>, ClientError> {
-        self.with_current(|c| c.unwrap_key(wrapped))
-    }
-
-    fn xts_encrypt(
-        &mut self,
-        sector_base: u64,
-        sector_size: u32,
-        data: &[u8],
-    ) -> Result<Vec<u8>, ClientError> {
-        self.with_current(|c| c.xts_encrypt(sector_base, sector_size, data))
-    }
-
-    fn xts_decrypt(
-        &mut self,
-        sector_base: u64,
-        sector_size: u32,
-        data: &[u8],
-    ) -> Result<Vec<u8>, ClientError> {
-        self.with_current(|c| c.xts_decrypt(sector_base, sector_size, data))
-    }
-
-    /// Cluster-wide: the merged `telemetry/1` document across all
-    /// reachable nodes, not one node's snapshot.
-    fn stats(&mut self) -> Result<String, ClientError> {
-        self.aggregated_stats()
-    }
-
     fn pipeline(&mut self, op: Op, iv: Option<&[u8; 16]>, data: &[u8]) -> Result<u32, ClientError> {
-        self.with_current(|c| c.pipeline(op, iv, data))
+        self.with_current(true, |c| c.pipeline(op, iv, data))
     }
 
+    /// Completions rescued during a drain come first, in their original
+    /// arrival order. A transport error is returned as it is: the
+    /// session is re-established for the next call, but the jobs in
+    /// flight on the lost connection went with it, and a fresh
+    /// connection owes none of their replies.
     fn collect_next(&mut self) -> Result<PipelinedJob, ClientError> {
-        if let Some(label) = self.current {
-            if let Some(entry) = self.sessions.get_mut(&label) {
-                if !entry.parked.is_empty() {
-                    // Completions rescued during a drain come first, in
-                    // their original arrival order.
-                    return Ok(entry.parked.remove(0));
-                }
+        if let Some(entry) = self.current.and_then(|l| self.sessions.get_mut(&l)) {
+            if !entry.parked.is_empty() {
+                return Ok(entry.parked.remove(0));
             }
         }
-        self.with_current(|c| c.collect_next())
-    }
-
-    fn collect_all(&mut self) -> Result<Vec<PipelinedJob>, ClientError> {
-        let mut jobs = Vec::new();
-        if let Some(label) = self.current {
-            if let Some(entry) = self.sessions.get_mut(&label) {
-                jobs.append(&mut entry.parked);
-            }
-        }
-        jobs.extend(self.with_current(|c| c.collect_all())?);
-        Ok(jobs)
+        self.with_current(false, Client::collect_next)
     }
 
     fn in_flight(&self) -> usize {
@@ -612,5 +532,21 @@ impl Transport for ClusterClient {
         self.sessions
             .get(&label)
             .map_or(0, |e| e.parked.len() + e.client.in_flight())
+    }
+
+    /// Routes to the current session, or to any `Up` node before the
+    /// first session opens.
+    fn ping(&mut self, payload: &[u8]) -> Result<Vec<u8>, ClientError> {
+        if self.current.is_some() {
+            self.with_current(true, |c| c.ping(payload))
+        } else {
+            self.any_up()?.ping(payload)
+        }
+    }
+
+    /// Cluster-wide: the merged `telemetry/1` document across all
+    /// reachable nodes, not one node's snapshot.
+    fn stats(&mut self) -> Result<String, ClientError> {
+        self.aggregated_stats()
     }
 }

@@ -4,8 +4,10 @@
 //! The load-bearing assertions:
 //!
 //! * the **same KAT conversation** passes through a plain [`Client`]
-//!   and through a 3-node [`ClusterClient`], both as `&mut dyn
-//!   Transport` — the cluster is a drop-in transport, not a lookalike;
+//!   and through a 3-node [`ClusterClient`], each over wire v1 and v2
+//!   and each as `&mut dyn Transport`, with every op's output equal
+//!   byte for byte to an in-process `rijndael` reference — the cluster
+//!   is a drop-in transport, not a lookalike;
 //! * draining a node under pipelined load **loses nothing** and the
 //!   migrated session keeps producing the same CTR stream — the key
 //!   really moved;
@@ -13,14 +15,21 @@
 //!   session key crossed the wire to exactly one node**; the migration
 //!   target saw only wrapped material;
 //! * SIGKILL-ing a node makes only *that node's* sessions fail, with
-//!   the typed [`ClientError::NodeUnreachable`] verdict.
+//!   the typed [`ClientError::NodeUnreachable`] verdict;
+//! * a connection lost under pipelined work surfaces its transport
+//!   error from `collect_next` instead of a reconnect's confusion.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::process::Command;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 
+use rijndael::aead::{self, Gcm, Xts};
+use rijndael::modes::{Cbc, Ctr};
+use rijndael::ttable::TtableAes;
+use rijndael::{cmac, Aead};
 use rijndael_cluster::{ClusterClient, NodeProcess, NodeState};
 use service::{Client, ClientError, Op, Server, ServiceConfig, ServiceHandle, Transport};
 
@@ -40,12 +49,16 @@ fn spawn_nodes(n: usize) -> (Vec<ServiceHandle>, Vec<SocketAddr>) {
     (handles, addrs)
 }
 
-/// The shared conversation both transports must pass verbatim: FIPS-197
-/// ECB known answer, CBC/CTR/XTS roundtrips, CMAC, GCM seal/open, key
-/// wrap, ping.
-fn kat_conversation(t: &mut dyn Transport) {
+/// The shared conversation every transport must pass verbatim: the
+/// FIPS-197 ECB known answer, then CBC, CTR, CMAC, GCM, key wrap and XTS
+/// outputs compared byte for byte with an in-process `rijndael`
+/// reference under the same key (so a payload-layout slip such as
+/// swapped AAD and body cannot hide behind a roundtrip), their inverses,
+/// and ping.
+fn kat_conversation(label: &str, t: &mut dyn Transport) {
     let key: [u8; 16] = (0..16).collect::<Vec<u8>>().try_into().unwrap();
     t.set_key(&key).expect("session opens");
+    let aes = TtableAes::new(&key).expect("AES-128 key");
 
     // FIPS-197 appendix C.1.
     let pt = [
@@ -58,28 +71,42 @@ fn kat_conversation(t: &mut dyn Transport) {
         [
             0x69, 0xc4, 0xe0, 0xd8, 0x6a, 0x7b, 0x04, 0x30, 0xd8, 0xcd, 0xb7, 0x80, 0x70, 0xb4,
             0xc5, 0x5a
-        ]
+        ],
+        "{label}: ECB"
     );
     assert_eq!(t.ecb_decrypt(&ct).expect("ecb dec"), pt);
 
     let iv = [7u8; 16];
-    let msg = [0x5au8; 48];
+    let msg: Vec<u8> = (0..48u8).map(|i| i.wrapping_mul(37)).collect();
     let cbc = t.cbc_encrypt(&iv, &msg).expect("cbc enc");
+    let mut expect = msg.clone();
+    Cbc::encrypt(&aes, &iv, &mut expect).expect("whole blocks");
+    assert_eq!(cbc, expect, "{label}: CBC");
     assert_eq!(t.cbc_decrypt(&iv, &cbc).expect("cbc dec"), msg);
 
     let ctr0 = [1u8; 16];
     let stream = t.ctr_apply(&ctr0, b"ctr is an involution").expect("ctr");
+    let mut expect = b"ctr is an involution".to_vec();
+    Ctr::apply(&aes, &ctr0, &mut expect);
+    assert_eq!(stream, expect, "{label}: CTR");
     assert_eq!(
         t.ctr_apply(&ctr0, &stream).expect("ctr back"),
         b"ctr is an involution"
     );
 
     let tag = t.cmac_tag(b"authenticate me").expect("cmac");
+    assert_eq!(tag, cmac::cmac(&aes, b"authenticate me"), "{label}: CMAC");
     assert!(t.cmac_verify(b"authenticate me", &tag).expect("cmac ok"));
     assert!(!t.cmac_verify(b"authenticate ME", &tag).expect("cmac bad"));
 
     let nonce = [9u8; 12];
     let sealed = t.seal(&nonce, b"aad", b"secret payload").expect("seal");
+    let gcm = Gcm::new(TtableAes::new(&key).expect("AES-128 key"));
+    assert_eq!(
+        sealed,
+        gcm.seal(&nonce, b"aad", b"secret payload"),
+        "{label}: GCM"
+    );
     assert_eq!(
         t.open(&nonce, b"aad", &sealed).expect("open"),
         Some(b"secret payload".to_vec())
@@ -92,13 +119,26 @@ fn kat_conversation(t: &mut dyn Transport) {
     let inner = [0x42u8; 16];
     let wrapped = t.wrap_key(&inner).expect("wrap");
     assert_eq!(
+        wrapped,
+        aead::wrap(&aes, &inner).expect("wrappable key data"),
+        "{label}: key wrap"
+    );
+    assert_eq!(
         t.unwrap_key(&wrapped).expect("unwrap"),
         Some(inner.to_vec())
     );
 
-    let sectors = vec![0xA5u8; 3 * 32];
+    // The service keys both XTS halves with the session key.
+    let sectors: Vec<u8> = (0..3 * 32).map(|i| i as u8).collect();
     let xts = t.xts_encrypt(10, 32, &sectors).expect("xts enc");
-    assert_ne!(xts, sectors);
+    let reference = Xts::new(aes.clone(), aes.clone());
+    let mut expect = sectors.clone();
+    for (i, sector) in expect.chunks_mut(32).enumerate() {
+        reference
+            .encrypt_sector(10 + i as u64, sector)
+            .expect("whole sector");
+    }
+    assert_eq!(xts, expect, "{label}: XTS");
     assert_eq!(t.xts_decrypt(10, 32, &xts).expect("xts dec"), sectors);
 
     assert_eq!(t.ping(b"hello?").expect("ping"), b"hello?");
@@ -108,14 +148,68 @@ fn kat_conversation(t: &mut dyn Transport) {
 fn the_same_kat_suite_passes_through_client_and_cluster() {
     let (handles, addrs) = spawn_nodes(3);
 
-    let mut single = Client::connect(addrs[0]).expect("direct client connects");
-    kat_conversation(&mut single);
+    let transports: Vec<(&str, Box<dyn Transport>)> = vec![
+        (
+            "v2 Client",
+            Box::new(Client::connect(addrs[0]).expect("v2 connects")),
+        ),
+        (
+            "v1 Client",
+            Box::new(Client::connect_v1(addrs[0]).expect("v1 connects")),
+        ),
+        (
+            "v2 ClusterClient",
+            Box::new(ClusterClient::connect(&addrs, &KEK).expect("cluster connects")),
+        ),
+        (
+            "v1 ClusterClient",
+            Box::new(ClusterClient::connect_v1(&addrs, &KEK).expect("v1 cluster connects")),
+        ),
+    ];
+    for (label, mut transport) in transports {
+        kat_conversation(label, transport.as_mut());
+    }
 
+    for handle in handles {
+        handle.shutdown();
+    }
+}
+
+#[test]
+fn a_cluster_without_a_session_types_its_ops_but_still_pings_and_reports() {
+    let (mut handles, addrs) = spawn_nodes(2);
     let mut fleet = ClusterClient::connect(&addrs, &KEK).expect("cluster connects");
-    kat_conversation(&mut fleet);
+    // Node 0 stays `Up` in the router's view but no longer answers.
+    handles.remove(0).shutdown();
+
+    match fleet.ecb_encrypt(&[0u8; 16]) {
+        Err(ClientError::Protocol(what)) => {
+            assert!(what.starts_with("no cluster session"), "{what}")
+        }
+        other => panic!("expected the typed no-session error, got {other:?}"),
+    }
+    assert_eq!(
+        fleet.ping(b"anyone?").expect("an Up node answers"),
+        b"anyone?"
+    );
+
+    let merged = fleet.stats().expect("fleet stats");
+    let scraped = rijndael_cluster::stats::scrape(&merged);
+    let get = |name: &str| {
+        scraped
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, v)| *v)
+            .unwrap_or_else(|| panic!("missing {name}"))
+    };
+    assert_eq!(
+        get("cluster.nodes.reachable"),
+        rijndael_cluster::stats::Scraped::Gauge(1)
+    );
+    assert_eq!(fleet.current_session(), None);
+    assert_eq!(fleet.in_flight(), 0);
 
     drop(fleet);
-    drop(single);
     for handle in handles {
         handle.shutdown();
     }
@@ -144,10 +238,14 @@ fn sessions_spread_across_all_nodes() {
 }
 
 /// A byte-sniffing TCP proxy: forwards loopback connections to
-/// `backend` and records every client→backend byte.
+/// `backend` and records every client→backend byte. Once armed with
+/// [`TapProxy::cut_next`], it drops the next client→backend chunk
+/// instead and shuts that connection down on both sides, so the
+/// backend never sees the request and the client never gets a reply.
 struct TapProxy {
     addr: SocketAddr,
     upstream: Arc<Mutex<Vec<u8>>>,
+    cut: Arc<AtomicBool>,
 }
 
 impl TapProxy {
@@ -155,14 +253,15 @@ impl TapProxy {
         let listener = TcpListener::bind("127.0.0.1:0").expect("proxy binds");
         let addr = listener.local_addr().expect("proxy addr");
         let upstream = Arc::new(Mutex::new(Vec::new()));
-        let tap = Arc::clone(&upstream);
+        let cut = Arc::new(AtomicBool::new(false));
+        let (tap, armed) = (Arc::clone(&upstream), Arc::clone(&cut));
         thread::spawn(move || {
             for conn in listener.incoming() {
                 let Ok(client) = conn else { break };
                 let Ok(server) = TcpStream::connect(backend) else {
                     continue;
                 };
-                let tap = Arc::clone(&tap);
+                let (tap, armed) = (Arc::clone(&tap), Arc::clone(&armed));
                 let (mut c_read, mut s_write) = (
                     client.try_clone().expect("clone"),
                     server.try_clone().expect("clone"),
@@ -172,6 +271,11 @@ impl TapProxy {
                     while let Ok(n) = c_read.read(&mut buf) {
                         if n == 0 {
                             break;
+                        }
+                        if armed.swap(false, Ordering::SeqCst) {
+                            let _ = c_read.shutdown(std::net::Shutdown::Both);
+                            let _ = s_write.shutdown(std::net::Shutdown::Both);
+                            return;
                         }
                         tap.lock().expect("tap lock").extend_from_slice(&buf[..n]);
                         if s_write.write_all(&buf[..n]).is_err() {
@@ -195,7 +299,15 @@ impl TapProxy {
                 });
             }
         });
-        TapProxy { addr, upstream }
+        TapProxy {
+            addr,
+            upstream,
+            cut,
+        }
+    }
+
+    fn cut_next(&self) {
+        self.cut.store(true, Ordering::SeqCst);
     }
 
     fn saw(&self, needle: &[u8]) -> bool {
@@ -435,6 +547,45 @@ fn cluster_stats_aggregate_every_nodes_counters() {
             sample.node
         );
     }
+
+    drop(fleet);
+    for handle in handles {
+        handle.shutdown();
+    }
+}
+
+#[test]
+fn collect_next_returns_the_transport_error_that_lost_its_jobs() {
+    let (handles, addrs) = spawn_nodes(1);
+    let proxy = TapProxy::spawn(addrs[0]);
+    let mut fleet = ClusterClient::connect(&[proxy.addr], &KEK).expect("cluster connects");
+    let key = [0x5Cu8; 16];
+    fleet.set_key(&key).expect("session opens");
+
+    // The pipelined request is written to the socket, then the proxy
+    // drops it and resets the connection before any reply exists.
+    proxy.cut_next();
+    fleet
+        .pipeline(Op::EcbEncrypt, None, &[0u8; 16])
+        .expect("the send itself succeeds");
+    assert_eq!(fleet.in_flight(), 1);
+    match fleet.collect_next() {
+        Err(ClientError::Io(_) | ClientError::Recv(_)) => {}
+        other => panic!("expected the transport error that lost the job, got {other:?}"),
+    }
+    assert_eq!(
+        fleet.in_flight(),
+        0,
+        "the lost job is gone with its connection"
+    );
+
+    // The session was re-established for the next call, under the same key.
+    let ct = fleet
+        .ecb_encrypt(&[0u8; 16])
+        .expect("re-established session serves");
+    let mut expect = [0u8; 16];
+    rijndael::BlockCipher::encrypt_in_place(&TtableAes::new(&key).expect("key"), &mut expect);
+    assert_eq!(ct, expect);
 
     drop(fleet);
     for handle in handles {

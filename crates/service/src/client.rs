@@ -1,12 +1,15 @@
-//! Blocking loopback client with a pipelined submit/collect API: one
-//! [`Client`] per connection, typed methods over the raw frame layer.
+//! Blocking loopback client: one [`Client`] per TCP connection to one
+//! service node, the wire core under every typed op.
 //!
-//! The wire discipline lives in [`NodeConn`] — one TCP connection to
-//! one service node, owning the sequence counter, the live session id,
-//! correlation matching and the bounded stray-reply stash. [`Client`]
-//! wraps a `NodeConn` with typed per-op methods; the cluster router
-//! drives one connection per node through the same core, which is why
-//! the two never disagree about framing.
+//! `Client` owns everything a correct conversation needs: the sequence
+//! counter, the live session id, the v1/v2 framing choice, the set of
+//! outstanding correlation ids and the bounded stash of out-of-order
+//! replies. It implements the six-method core of [`Transport`]; the
+//! typed ops ([`Transport::ecb_encrypt`], [`Transport::seal`], ...)
+//! are the trait's provided methods, so bring `Transport` into scope to
+//! call them. The cluster router drives one `Client` per session
+//! through the same core, which is why the two never disagree about
+//! framing or payload layout.
 //!
 //! The client maps [`Status::Error`] replies into
 //! [`ClientError::Service`], and matches every reply to its request by
@@ -16,19 +19,19 @@
 //! call asks for it, and only a reply that matches *nothing*
 //! outstanding is an error ([`ClientError::StrayReply`] — the old
 //! client failed hard on any sequence mismatch, with no way to
-//! resynchronise). The stash is bounded at [`NodeConn::STASH_CAP`]
+//! resynchronise). The stash is bounded at [`Client::STASH_CAP`]
 //! frames: a caller that abandons correlation ids can no longer grow
 //! it without limit — the oldest stashed reply is dropped instead and
-//! counted in [`NodeConn::stash_evictions`].
+//! counted in [`Client::stash_evictions`].
 //!
 //! Two request disciplines are exposed:
 //!
-//! * **blocking** — [`Client::ping`], [`Client::ecb_encrypt`], ... :
-//!   send one request, wait for its reply;
-//! * **pipelined** — [`Client::pipeline`] sends without waiting
-//!   (depth-N in flight per connection), [`Client::collect_next`] /
-//!   [`Client::collect_all`] receive completions in whatever order the
-//!   server finished them; a full bulk lane answers a typed `Busy`.
+//! * **blocking** — [`Transport::call`] and every typed op built on
+//!   it: send one request, wait for its reply;
+//! * **pipelined** — [`Transport::pipeline`] sends without waiting
+//!   (depth-N in flight per connection), [`Transport::collect_next`] /
+//!   [`Transport::collect_all`] receive completions in whatever order
+//!   the server finished them; a full bulk lane answers a typed `Busy`.
 //!
 //! [`Client::connect`] speaks protocol v2; [`Client::connect_v1`]
 //! pins the connection to the version-1 layout for compatibility
@@ -41,7 +44,8 @@ use std::fmt;
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
 
-use crate::protocol::{ErrorCode, Frame, Op, RecvError, Status, PROTOCOL_V1};
+use crate::protocol::{ErrorCode, Frame, Op, RecvError, Status, PROTOCOL_V1, PROTOCOL_V2};
+use crate::transport::Transport;
 
 /// Failure of a client call.
 #[derive(Debug)]
@@ -111,11 +115,11 @@ impl From<RecvError> for ClientError {
     }
 }
 
-/// One pipelined completion, delivered by [`Client::collect_next`] in
-/// engine completion order.
+/// One pipelined completion, delivered by [`Transport::collect_next`]
+/// in engine completion order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PipelinedJob {
-    /// The correlation id [`Client::pipeline`] returned for the
+    /// The correlation id [`Transport::pipeline`] returned for the
     /// request.
     pub corr: u32,
     /// The processed bytes, or the typed per-job failure (`Busy`,
@@ -123,17 +127,10 @@ pub struct PipelinedJob {
     pub result: Result<Vec<u8>, (ErrorCode, u32)>,
 }
 
-/// The wire core: one TCP connection to one service node.
-///
-/// `NodeConn` owns everything a correct conversation needs — the
-/// sequence counter, the live session id, the v1/v2 framing choice,
-/// the set of outstanding correlation ids and the bounded stash of
-/// out-of-order replies. [`Client`] layers the typed per-op methods on
-/// top; `rijndael-cluster`'s router drives one `NodeConn`-backed
-/// client per node, so single-node and cluster traffic share one
-/// framing implementation.
+/// A blocking connection to one service node: the [`Transport`] wire
+/// core over a single TCP stream.
 #[derive(Debug)]
-pub struct NodeConn {
+pub struct Client {
     stream: TcpStream,
     seq: u32,
     session: u32,
@@ -142,38 +139,45 @@ pub struct NodeConn {
     pending: HashSet<u32>,
     /// Out-of-order pipelined replies received while waiting for
     /// something else, in arrival order; never longer than
-    /// [`NodeConn::STASH_CAP`].
+    /// [`Client::STASH_CAP`].
     stash: Vec<Frame>,
     /// Stashed replies dropped at the cap (their correlation ids are
     /// forgotten with them).
     stash_evicted: u64,
 }
 
-impl NodeConn {
+impl Client {
     /// Most out-of-order replies held for later collection before the
     /// oldest is dropped. A caller that abandons correlation ids (sends
     /// pipelined work and never collects) previously grew the stash
     /// without bound; now it saturates here.
     pub const STASH_CAP: usize = 1024;
 
-    /// Connects (with `TCP_NODELAY`) speaking protocol v2.
+    /// Connects (with `TCP_NODELAY`) speaking protocol v2, sequence
+    /// numbering starting at 1.
     ///
     /// # Errors
     ///
     /// Propagates connect/setsockopt failures.
-    pub fn connect<A: ToSocketAddrs>(addr: A) -> io::Result<NodeConn> {
-        Self::connect_version(addr, crate::protocol::PROTOCOL_V2)
+    pub fn connect<A: ToSocketAddrs>(addr: A) -> io::Result<Client> {
+        Self::connect_version(addr, PROTOCOL_V2)
     }
 
-    /// Connects pinned to a specific wire-format version.
+    /// Connects pinned to the version-1 wire format (11-byte header,
+    /// strictly in-order replies) — the compatibility path for peers
+    /// that predate pipelining.
     ///
     /// # Errors
     ///
     /// Propagates connect/setsockopt failures.
-    pub fn connect_version<A: ToSocketAddrs>(addr: A, version: u8) -> io::Result<NodeConn> {
+    pub fn connect_v1<A: ToSocketAddrs>(addr: A) -> io::Result<Client> {
+        Self::connect_version(addr, PROTOCOL_V1)
+    }
+
+    fn connect_version<A: ToSocketAddrs>(addr: A, version: u8) -> io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        Ok(NodeConn {
+        Ok(Client {
             stream,
             seq: 0,
             session: 0,
@@ -184,7 +188,7 @@ impl NodeConn {
         })
     }
 
-    /// The live session id (0 before the first `SET_KEY`).
+    /// The live session id (0 before the first [`Transport::set_key`]).
     #[must_use]
     pub fn session(&self) -> u32 {
         self.session
@@ -196,17 +200,7 @@ impl NodeConn {
         self.version
     }
 
-    /// Pipelined requests sent and not yet collected. A stashed reply
-    /// counts until its own collection call delivers it (the stash only
-    /// ever holds replies whose correlation id is still outstanding, so
-    /// the pending set alone is the honest tally — the old
-    /// `pending + stash` sum double-counted every stashed reply).
-    #[must_use]
-    pub fn in_flight(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Stashed replies dropped at [`NodeConn::STASH_CAP`] over the
+    /// Stashed replies dropped at [`Client::STASH_CAP`] over the
     /// connection's lifetime.
     #[must_use]
     pub fn stash_evictions(&self) -> u64 {
@@ -219,7 +213,7 @@ impl NodeConn {
     }
 
     fn request(&self, op: Op, seq: u32, payload: Vec<u8>) -> Frame {
-        if self.version >= crate::protocol::PROTOCOL_V2 {
+        if self.version >= PROTOCOL_V2 {
             Frame::request(op, 0, seq, self.session, payload)
         } else {
             Frame::request_v1(op, 0, seq, self.session, payload)
@@ -244,6 +238,15 @@ impl NodeConn {
     /// Transport or framing errors.
     pub fn recv_raw(&mut self) -> Result<Frame, RecvError> {
         Frame::read_from(&mut self.stream)
+    }
+
+    /// Sends one request whose payload is `parts` concatenated (the
+    /// one copy of the caller's bytes) and returns its correlation id.
+    fn send(&mut self, op: Op, parts: &[&[u8]]) -> Result<u32, ClientError> {
+        let seq = self.next_seq();
+        let request = self.request(op, seq, parts.concat());
+        self.send_raw(&request)?;
+        Ok(seq)
     }
 
     /// Stashes an out-of-order reply, evicting the oldest stashed frame
@@ -281,39 +284,46 @@ impl NodeConn {
         }
     }
 
-    /// Request/reply round trip; typed `Error` replies become
-    /// [`ClientError::Service`].
-    fn call(&mut self, op: Op, payload: Vec<u8>) -> Result<Frame, ClientError> {
-        let seq = self.next_seq();
-        let request = self.request(op, seq, payload);
-        self.send_raw(&request)?;
+    /// `SET_KEY` / `SET_KEY_WRAPPED`: the reply names the fresh session
+    /// every later request carries.
+    fn rekey(&mut self, op: Op, material: &[u8]) -> Result<u32, ClientError> {
+        let reply = self.call(op, &[material])?;
+        self.session = reply.session;
+        Ok(reply.session)
+    }
+}
+
+impl Transport for Client {
+    fn call(&mut self, op: Op, parts: &[&[u8]]) -> Result<Frame, ClientError> {
+        let seq = self.send(op, parts)?;
         let reply = self.recv_matched(seq)?;
         if let Some((code, detail)) = reply.error_body() {
             return Err(ClientError::Service { code, detail });
         }
+        if reply.status() != Some(Status::Ok) {
+            return Err(ClientError::Protocol(format!(
+                "expected Ok, got kind {:#04x}",
+                reply.kind
+            )));
+        }
         Ok(reply)
     }
 
-    /// Sends a request **without waiting for the reply** and returns
-    /// its correlation id.
-    ///
-    /// # Errors
-    ///
-    /// Transport failures on the send.
-    fn pipeline_op(&mut self, op: Op, payload: Vec<u8>) -> Result<u32, ClientError> {
-        let corr = self.next_seq();
-        let request = self.request(op, corr, payload);
-        self.send_raw(&request)?;
+    fn set_key(&mut self, key: &[u8]) -> Result<u32, ClientError> {
+        self.rekey(Op::SetKey, key)
+    }
+
+    fn set_key_wrapped(&mut self, wrapped: &[u8]) -> Result<u32, ClientError> {
+        self.rekey(Op::SetKeyWrapped, wrapped)
+    }
+
+    fn pipeline(&mut self, op: Op, iv: Option<&[u8; 16]>, data: &[u8]) -> Result<u32, ClientError> {
+        let iv: &[u8] = iv.map_or(&[], |iv| iv);
+        let corr = self.send(op, &[iv, data])?;
         self.pending.insert(corr);
         Ok(corr)
     }
 
-    /// Receives the next pipelined completion (stashed replies first,
-    /// then the wire), blocking until one arrives.
-    ///
-    /// # Errors
-    ///
-    /// See [`Client::collect_next`].
     fn collect_next(&mut self) -> Result<PipelinedJob, ClientError> {
         if self.pending.is_empty() && self.stash.is_empty() {
             return Err(ClientError::Protocol(
@@ -343,469 +353,11 @@ impl NodeConn {
         })
     }
 
-    /// Collects every outstanding pipelined completion, in arrival
-    /// order.
-    ///
-    /// # Errors
-    ///
-    /// See [`Client::collect_all`].
-    fn collect_all(&mut self) -> Result<Vec<PipelinedJob>, ClientError> {
-        let mut jobs = Vec::with_capacity(self.in_flight());
-        while self.in_flight() > 0 {
-            jobs.push(self.collect_next()?);
-        }
-        Ok(jobs)
-    }
-}
-
-/// A blocking connection to the service: typed per-op methods over a
-/// [`NodeConn`].
-#[derive(Debug)]
-pub struct Client {
-    conn: NodeConn,
-}
-
-impl Client {
-    /// Connects (with `TCP_NODELAY`) speaking protocol v2, sequence
-    /// numbering starting at 1.
-    ///
-    /// # Errors
-    ///
-    /// Propagates connect/setsockopt failures.
-    pub fn connect<A: ToSocketAddrs>(addr: A) -> io::Result<Client> {
-        Ok(Client {
-            conn: NodeConn::connect(addr)?,
-        })
-    }
-
-    /// Connects pinned to the version-1 wire format (11-byte header,
-    /// strictly in-order replies) — the compatibility path for peers
-    /// that predate pipelining.
-    ///
-    /// # Errors
-    ///
-    /// Propagates connect/setsockopt failures.
-    pub fn connect_v1<A: ToSocketAddrs>(addr: A) -> io::Result<Client> {
-        Ok(Client {
-            conn: NodeConn::connect_version(addr, PROTOCOL_V1)?,
-        })
-    }
-
-    /// The underlying wire connection.
-    #[must_use]
-    pub fn conn(&self) -> &NodeConn {
-        &self.conn
-    }
-
-    /// The live session id (0 before the first [`Client::set_key`]).
-    #[must_use]
-    pub fn session(&self) -> u32 {
-        self.conn.session()
-    }
-
-    /// The wire-format version this connection speaks.
-    #[must_use]
-    pub fn version(&self) -> u8 {
-        self.conn.version()
-    }
-
-    /// Pipelined requests sent and not yet collected.
-    #[must_use]
-    pub fn in_flight(&self) -> usize {
-        self.conn.in_flight()
-    }
-
-    /// Stashed replies dropped at [`NodeConn::STASH_CAP`] over the
-    /// connection's lifetime.
-    #[must_use]
-    pub fn stash_evictions(&self) -> u64 {
-        self.conn.stash_evictions()
-    }
-
-    #[cfg(test)]
-    fn request(&self, op: Op, seq: u32, payload: Vec<u8>) -> Frame {
-        self.conn.request(op, seq, payload)
-    }
-
-    /// Sends a frame verbatim (protocol-test escape hatch).
-    ///
-    /// # Errors
-    ///
-    /// Transport errors only.
-    pub fn send_raw(&mut self, frame: &Frame) -> io::Result<()> {
-        self.conn.send_raw(frame)
-    }
-
-    /// Reads the next reply frame verbatim (protocol-test escape
-    /// hatch). Bypasses correlation matching — mixing this with
-    /// outstanding pipelined requests will misroute replies.
-    ///
-    /// # Errors
-    ///
-    /// Transport or framing errors.
-    pub fn recv_raw(&mut self) -> Result<Frame, RecvError> {
-        self.conn.recv_raw()
-    }
-
-    #[cfg(test)]
-    fn recv_matched(&mut self, want: u32) -> Result<Frame, ClientError> {
-        self.conn.recv_matched(want)
-    }
-
-    fn call(&mut self, op: Op, payload: Vec<u8>) -> Result<Frame, ClientError> {
-        self.conn.call(op, payload)
-    }
-
-    fn expect_ok(reply: &Frame) -> Result<(), ClientError> {
-        if reply.status() == Some(Status::Ok) {
-            Ok(())
-        } else {
-            Err(ClientError::Protocol(format!(
-                "expected Ok, got kind {:#04x}",
-                reply.kind
-            )))
-        }
-    }
-
-    /// Loads an AES key (16, 24 or 32 bytes), creating a fresh
-    /// server-side session; returns the new session id (used on every
-    /// subsequent request automatically).
-    ///
-    /// # Errors
-    ///
-    /// Typed service errors (`BadKeyLength` for any other length) or
-    /// transport failures.
-    pub fn set_key(&mut self, key: &[u8]) -> Result<u32, ClientError> {
-        let reply = self.call(Op::SetKey, key.to_vec())?;
-        Self::expect_ok(&reply)?;
-        self.conn.session = reply.session;
-        Ok(reply.session)
-    }
-
-    /// Re-keys from an RFC 3394 blob wrapped under the **live**
-    /// session's key: the server unwraps it in place and the unwrapped
-    /// key becomes the new session key, so raw key bytes never cross
-    /// this connection. Returns the fresh session id.
-    ///
-    /// # Errors
-    ///
-    /// Typed service errors (`NoSession` without a live session,
-    /// `TagMismatch` on a tampered blob, `BadKeyLength` when the blob
-    /// unwraps to a non-key) or transport failures; every failure
-    /// leaves the current session live.
-    pub fn set_key_wrapped(&mut self, wrapped: &[u8]) -> Result<u32, ClientError> {
-        let reply = self.call(Op::SetKeyWrapped, wrapped.to_vec())?;
-        Self::expect_ok(&reply)?;
-        self.conn.session = reply.session;
-        Ok(reply.session)
-    }
-
-    /// Liveness probe; the server echoes `payload`.
-    ///
-    /// # Errors
-    ///
-    /// Typed service errors or transport failures.
-    pub fn ping(&mut self, payload: &[u8]) -> Result<Vec<u8>, ClientError> {
-        let reply = self.call(Op::Ping, payload.to_vec())?;
-        Self::expect_ok(&reply)?;
-        Ok(reply.payload)
-    }
-
-    fn engine_payload(iv: Option<&[u8; 16]>, data: &[u8]) -> Vec<u8> {
-        let mut payload = Vec::with_capacity(16 + data.len());
-        if let Some(iv) = iv {
-            payload.extend_from_slice(iv);
-        }
-        payload.extend_from_slice(data);
-        payload
-    }
-
-    fn engine_call(
-        &mut self,
-        op: Op,
-        iv: Option<&[u8; 16]>,
-        data: &[u8],
-    ) -> Result<Vec<u8>, ClientError> {
-        let reply = self.call(op, Self::engine_payload(iv, data))?;
-        Self::expect_ok(&reply)?;
-        Ok(reply.payload)
-    }
-
-    /// ECB-encrypts whole blocks under the session key.
-    ///
-    /// # Errors
-    ///
-    /// Typed service errors (`NoSession`, `RaggedLength`, `Busy`...) or
-    /// transport failures.
-    pub fn ecb_encrypt(&mut self, plaintext: &[u8]) -> Result<Vec<u8>, ClientError> {
-        self.engine_call(Op::EcbEncrypt, None, plaintext)
-    }
-
-    /// ECB-decrypts whole blocks under the session key.
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::ecb_encrypt`].
-    pub fn ecb_decrypt(&mut self, ciphertext: &[u8]) -> Result<Vec<u8>, ClientError> {
-        self.engine_call(Op::EcbDecrypt, None, ciphertext)
-    }
-
-    /// CBC-encrypts whole blocks under the session key.
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::ecb_encrypt`].
-    pub fn cbc_encrypt(&mut self, iv: &[u8; 16], plaintext: &[u8]) -> Result<Vec<u8>, ClientError> {
-        self.engine_call(Op::CbcEncrypt, Some(iv), plaintext)
-    }
-
-    /// CBC-decrypts whole blocks under the session key.
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::ecb_encrypt`].
-    pub fn cbc_decrypt(
-        &mut self,
-        iv: &[u8; 16],
-        ciphertext: &[u8],
-    ) -> Result<Vec<u8>, ClientError> {
-        self.engine_call(Op::CbcDecrypt, Some(iv), ciphertext)
-    }
-
-    /// Applies the CTR keystream (encrypt = decrypt, any length).
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::ecb_encrypt`].
-    pub fn ctr_apply(&mut self, counter: &[u8; 16], data: &[u8]) -> Result<Vec<u8>, ClientError> {
-        self.engine_call(Op::CtrApply, Some(counter), data)
-    }
-
-    /// Fetches the server's telemetry snapshot: the `telemetry/1` JSON
-    /// document with per-opcode request counts, error tallies,
-    /// connection gauges and the `engine.*` instruments of every
-    /// session's worker pool. Works without a session.
-    ///
-    /// # Errors
-    ///
-    /// Typed service errors or transport failures;
-    /// [`ClientError::Protocol`] if the payload is not UTF-8.
-    pub fn stats(&mut self) -> Result<String, ClientError> {
-        let reply = self.call(Op::GetStats, Vec::new())?;
-        Self::expect_ok(&reply)?;
-        String::from_utf8(reply.payload)
-            .map_err(|_| ClientError::Protocol("non-UTF-8 stats payload".into()))
-    }
-
-    /// Computes the AES-CMAC tag of `message` under the session key.
-    ///
-    /// # Errors
-    ///
-    /// Typed service errors or transport failures.
-    pub fn cmac_tag(&mut self, message: &[u8]) -> Result<[u8; 16], ClientError> {
-        let reply = self.call(Op::CmacTag, message.to_vec())?;
-        Self::expect_ok(&reply)?;
-        reply
-            .payload
-            .as_slice()
-            .try_into()
-            .map_err(|_| ClientError::Protocol(format!("{}-byte CMAC tag", reply.payload.len())))
-    }
-
-    /// Verifies an AES-CMAC tag; `Ok(false)` on a well-formed mismatch.
-    ///
-    /// # Errors
-    ///
-    /// Typed service errors other than `BadTag`, or transport failures.
-    pub fn cmac_verify(&mut self, message: &[u8], tag: &[u8; 16]) -> Result<bool, ClientError> {
-        let mut payload = Vec::with_capacity(16 + message.len());
-        payload.extend_from_slice(tag);
-        payload.extend_from_slice(message);
-        match self.call(Op::CmacVerify, payload) {
-            Ok(reply) => Self::expect_ok(&reply).map(|()| true),
-            Err(ClientError::Service {
-                code: ErrorCode::BadTag,
-                ..
-            }) => Ok(false),
-            Err(e) => Err(e),
-        }
-    }
-
-    fn aead_payload(nonce: &[u8; 12], aad: &[u8], body: &[u8]) -> Vec<u8> {
-        let mut payload = Vec::with_capacity(16 + aad.len() + body.len());
-        payload.extend_from_slice(nonce);
-        payload.extend_from_slice(&(aad.len() as u32).to_be_bytes());
-        payload.extend_from_slice(aad);
-        payload.extend_from_slice(body);
-        payload
-    }
-
-    /// AES-GCM seal under the session key: returns ciphertext ‖ 16-byte
-    /// tag. The nonce must be unique per (key, message) — reuse forfeits
-    /// both confidentiality and authenticity.
-    ///
-    /// # Errors
-    ///
-    /// Typed service errors or transport failures.
-    pub fn seal(
-        &mut self,
-        nonce: &[u8; 12],
-        aad: &[u8],
-        plaintext: &[u8],
-    ) -> Result<Vec<u8>, ClientError> {
-        let reply = self.call(Op::Seal, Self::aead_payload(nonce, aad, plaintext))?;
-        Self::expect_ok(&reply)?;
-        Ok(reply.payload)
-    }
-
-    /// AES-GCM open; `Ok(None)` on a well-formed authentication failure
-    /// (a tampered ciphertext, AAD, nonce or tag), mirroring
-    /// [`Client::cmac_verify`]'s verdict-not-error shape.
-    ///
-    /// # Errors
-    ///
-    /// Typed service errors other than `TagMismatch`, or transport
-    /// failures.
-    pub fn open(
-        &mut self,
-        nonce: &[u8; 12],
-        aad: &[u8],
-        sealed: &[u8],
-    ) -> Result<Option<Vec<u8>>, ClientError> {
-        match self.call(Op::Open, Self::aead_payload(nonce, aad, sealed)) {
-            Ok(reply) => Self::expect_ok(&reply).map(|()| Some(reply.payload)),
-            Err(ClientError::Service {
-                code: ErrorCode::TagMismatch,
-                ..
-            }) => Ok(None),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Wraps `key_data` (RFC 3394) under the session key; the result is
-    /// 8 bytes longer than the input.
-    ///
-    /// # Errors
-    ///
-    /// Typed service errors (`Malformed` unless `key_data` is ≥ 16
-    /// bytes and a multiple of 8) or transport failures.
-    pub fn wrap_key(&mut self, key_data: &[u8]) -> Result<Vec<u8>, ClientError> {
-        let reply = self.call(Op::WrapKey, key_data.to_vec())?;
-        Self::expect_ok(&reply)?;
-        Ok(reply.payload)
-    }
-
-    /// Unwraps an RFC 3394 blob; `Ok(None)` when the integrity check
-    /// fails.
-    ///
-    /// # Errors
-    ///
-    /// Typed service errors other than `TagMismatch`, or transport
-    /// failures.
-    pub fn unwrap_key(&mut self, wrapped: &[u8]) -> Result<Option<Vec<u8>>, ClientError> {
-        match self.call(Op::UnwrapKey, wrapped.to_vec()) {
-            Ok(reply) => Self::expect_ok(&reply).map(|()| Some(reply.payload)),
-            Err(ClientError::Service {
-                code: ErrorCode::TagMismatch,
-                ..
-            }) => Ok(None),
-            Err(e) => Err(e),
-        }
-    }
-
-    fn xts_payload(sector_base: u64, sector_size: u32, body: &[u8]) -> Vec<u8> {
-        let mut payload = Vec::with_capacity(12 + body.len());
-        payload.extend_from_slice(&sector_base.to_be_bytes());
-        payload.extend_from_slice(&sector_size.to_be_bytes());
-        payload.extend_from_slice(body);
-        payload
-    }
-
-    /// XTS-encrypts `data` as consecutive `sector_size`-byte sectors
-    /// starting at sector number `sector_base` (sector `i` uses tweak
-    /// `sector_base + i`, wrapping). `data` must be a non-empty whole
-    /// number of sectors and `sector_size` at least one AES block.
-    ///
-    /// # Errors
-    ///
-    /// Typed service errors (`BadSectorSize` on bad geometry,
-    /// `NoSession`, ...) or transport failures.
-    pub fn xts_encrypt(
-        &mut self,
-        sector_base: u64,
-        sector_size: u32,
-        data: &[u8],
-    ) -> Result<Vec<u8>, ClientError> {
-        let reply = self.call(
-            Op::XtsEncrypt,
-            Self::xts_payload(sector_base, sector_size, data),
-        )?;
-        Self::expect_ok(&reply)?;
-        Ok(reply.payload)
-    }
-
-    /// XTS-decrypts `data`; the inverse of [`Client::xts_encrypt`]
-    /// under the same sector geometry.
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::xts_encrypt`].
-    pub fn xts_decrypt(
-        &mut self,
-        sector_base: u64,
-        sector_size: u32,
-        data: &[u8],
-    ) -> Result<Vec<u8>, ClientError> {
-        let reply = self.call(
-            Op::XtsDecrypt,
-            Self::xts_payload(sector_base, sector_size, data),
-        )?;
-        Self::expect_ok(&reply)?;
-        Ok(reply.payload)
-    }
-
-    /// Sends an engine op **without waiting for the reply** and returns
-    /// its correlation id. Any number of pipelined requests may be in
-    /// flight; collect them with [`Client::collect_next`] /
-    /// [`Client::collect_all`] — completions arrive in engine order,
-    /// not submission order.
-    ///
-    /// # Errors
-    ///
-    /// Transport failures on the send. Server-side failures (`Busy`,
-    /// `RaggedLength`, stale session, ...) come back as the job's
-    /// [`PipelinedJob::result`] at collection time.
-    pub fn pipeline(
-        &mut self,
-        op: Op,
-        iv: Option<&[u8; 16]>,
-        data: &[u8],
-    ) -> Result<u32, ClientError> {
-        self.conn.pipeline_op(op, Self::engine_payload(iv, data))
-    }
-
-    /// Receives the next pipelined completion (stashed replies first,
-    /// then the wire), blocking until one arrives.
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError::Protocol`] when nothing is in flight;
-    /// [`ClientError::StrayReply`] on a duplicate or unknown
-    /// correlation id; unsolicited goodbyes surface as
-    /// [`ClientError::Service`]; transport failures.
-    pub fn collect_next(&mut self) -> Result<PipelinedJob, ClientError> {
-        self.conn.collect_next()
-    }
-
-    /// Collects every outstanding pipelined completion, in arrival
-    /// order.
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::collect_next`]; already-collected jobs are not
-    /// re-delivered after an error.
-    pub fn collect_all(&mut self) -> Result<Vec<PipelinedJob>, ClientError> {
-        self.conn.collect_all()
+    /// A stashed reply counts until its own collection call delivers
+    /// it (the stash only ever holds replies whose correlation id is
+    /// still outstanding, so the pending set alone is the honest tally).
+    fn in_flight(&self) -> usize {
+        self.pending.len()
     }
 }
 
@@ -952,7 +504,7 @@ mod tests {
         // before the blocking ping the client is actually waiting on.
         // The oldest stashed reply must be dropped (and its correlation
         // id forgotten) instead of growing the stash without bound.
-        let depth = NodeConn::STASH_CAP + 1;
+        let depth = Client::STASH_CAP + 1;
         let mut replies: Vec<Frame> = (1..=depth as u32)
             .map(|corr| ok_reply(corr, vec![0xCC]))
             .collect();
@@ -971,9 +523,9 @@ mod tests {
         // Exactly one eviction: the cap-sized stash plus the dropped
         // oldest account for every pipelined reply.
         assert_eq!(client.stash_evictions(), 1);
-        assert_eq!(client.in_flight(), NodeConn::STASH_CAP);
+        assert_eq!(client.in_flight(), Client::STASH_CAP);
         let jobs = client.collect_all().unwrap();
-        assert_eq!(jobs.len(), NodeConn::STASH_CAP);
+        assert_eq!(jobs.len(), Client::STASH_CAP);
         // Correlation id 1 was the evicted one.
         assert!(jobs.iter().all(|j| j.corr != 1));
         assert_eq!(client.in_flight(), 0);

@@ -26,17 +26,19 @@
 //!   backpressure on the pipelined bulk lane (typed `Busy` replies),
 //!   write-backpressure, idle timeouts and a graceful shutdown that
 //!   answers every in-flight pipelined job;
-//! * [`client`] — a blocking loopback client with a pipelined
-//!   submit/collect API, used by the integration tests and the
-//!   `service_load` load generator; its wire core ([`NodeConn`]) is
-//!   reused per-node by the `rijndael-cluster` router;
-//! * [`transport`] — the object-safe [`Transport`] trait: the one
-//!   client surface implemented by both the single-node [`Client`] and
-//!   the cluster router, so callers swap between them without code
-//!   changes.
+//! * [`client`] — [`Client`], one blocking TCP connection to one node:
+//!   sequence numbers, correlation matching, the bounded reply stash and
+//!   the pipelined submit/collect discipline. The `rijndael-cluster`
+//!   router drives one per session;
+//! * [`transport`] — the object-safe [`Transport`] trait, the one client
+//!   op surface: a six-method wire core (`call`, `set_key`,
+//!   `set_key_wrapped`, `pipeline`, `collect_next`, `in_flight`) that
+//!   [`Client`] and the cluster router implement, and every typed op
+//!   written once over it as a provided method, so callers swap between
+//!   a node and a fleet without code changes.
 //!
 //! Every server owns a [`telemetry::Registry`] that its sessions' worker
-//! pools publish into; `GET_STATS` ([`Client::stats`]) returns one snapshot of
+//! pools publish into; `GET_STATS` ([`Transport::stats`]) returns one snapshot of
 //! it as the stable `telemetry/1` JSON document, and engine failures map
 //! onto wire [`ErrorCode`]s through a single `engine::Error` match in
 //! the server.
@@ -44,8 +46,8 @@
 //! # Quick start
 //!
 //! ```
-//! use rijndael_service::client::Client;
 //! use rijndael_service::server::{Server, ServiceConfig};
+//! use rijndael_service::{Client, Transport};
 //!
 //! let handle = Server::new(ServiceConfig::default())
 //!     .spawn("127.0.0.1:0")
@@ -69,7 +71,7 @@ pub mod server;
 pub mod session;
 pub mod transport;
 
-pub use client::{Client, ClientError, NodeConn, PipelinedJob};
+pub use client::{Client, ClientError, PipelinedJob};
 pub use protocol::{ErrorCode, Frame, Op, RecvBuffer, RecvError, Status};
 pub use server::{ConfigError, Server, ServiceConfig, ServiceConfigBuilder, ServiceHandle};
 pub use session::{Session, SessionSlot};

@@ -13,7 +13,7 @@
 //! shim) over its connections: there are no per-connection threads, so
 //! the connection budget is bounded by descriptors, not stacks — tens
 //! of thousands of mostly-idle connections cost two file descriptors
-//! and a [`Conn`] struct each.
+//! and a `Conn` struct each.
 //!
 //! # Per-connection state machine
 //!

@@ -550,6 +550,9 @@ mod tests {
         s.submit(1, Mode::Ctr([0; 16]), sample(BULK_THRESHOLD))
             .unwrap();
         collect_n(&mut s, 1);
+        // The pool sends the output before it fires the notifier; the
+        // lane is idle only after both.
+        assert!(s.quiesce(std::time::Duration::from_secs(10)));
         assert_eq!(fired.load(Ordering::SeqCst), 1);
     }
 
