@@ -4,9 +4,9 @@
 //!    runs against a 1-node and a 3-node cluster of real child
 //!    processes, each node a `service` whose farm is one paced core
 //!    (`BackendSpec::Paced`). Every op is a v2 request of
-//!    `BULK_THRESHOLD` bytes, so it runs on its session's worker pool —
-//!    the only lane a service farm serves. A farm belongs to a session,
-//!    so the load holds exactly one session per node, each driven by its
+//!    `BULK_THRESHOLD` bytes, so it runs on the node's one worker pool —
+//!    the only farm a service serves. The load holds exactly one
+//!    session per node, each driven by its
 //!    own client thread with a bounded window in flight: a node is then
 //!    one serial crypto pipe, the paper's one-IP-per-device deployment,
 //!    and the ops are split evenly across the nodes. The run asserts
@@ -54,7 +54,7 @@ const KEK: [u8; 16] = *b"bench-cluster-kk";
 const OP_BYTES: usize = 64;
 
 /// Act 1's requests in flight per session: enough to keep its paced
-/// core busy, well under the default per-session pool capacity.
+/// core busy, well under the default per-session lane capacity.
 const WINDOW: usize = 8;
 
 fn main() {

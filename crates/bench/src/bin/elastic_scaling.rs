@@ -15,15 +15,19 @@
 //!    grow, that the shrink back to 1 worker loses nothing, and that
 //!    every accepted job completes successfully.
 //! 3. **Service supervision** — an in-process framed-TCP server runs
-//!    with `ServiceConfig::elastic` set; pipelined bulk traffic from a
-//!    real client drives the queue-depth gauge up, and the run asserts
-//!    the shard's autoscale tick grew the farm and later shrank it,
-//!    with both visible over the wire through `GET_STATS`.
+//!    with `ServiceConfig::elastic` set; pipelined bulk traffic from two
+//!    real clients loads the server's one worker pool, and the run
+//!    asserts the server's autoscale tick grew that pool (never past the
+//!    policy ceiling, however many sessions feed it) and later shrank it
+//!    back to the floor, with both visible over the wire through
+//!    `GET_STATS`.
 //!
 //! Results land in `BENCH_elastic.json` (override the path with
 //! `BENCH_ELASTIC_JSON`) as a `telemetry/1` snapshot. Pass `--smoke`
 //! or set `TESTKIT_BENCH_SMOKE=1` for the tiny CI workload.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use engine::{BackendSpec, Mode, PoolBuilder, ResizePolicy};
@@ -246,10 +250,11 @@ fn resize_under_load(report: &Registry, job_blocks: usize, jobs: usize) {
     pool.shutdown();
 }
 
-/// Act 3: the shard loop's autoscale tick, observed over the wire.
+/// Act 3: the server's autoscale tick, observed over the wire.
 fn service_supervision(report: &Registry) {
-    // One paced worker per fresh session; bulk pressure must make the
-    // supervisor grow it, and the post-traffic quiet shrink it again.
+    // One paced worker in the server's one pool; bulk pressure from both
+    // sessions must make the supervisor grow it, and the post-traffic
+    // quiet shrink it again.
     let policy = ResizePolicy {
         min_workers: 1,
         max_workers: 4,
@@ -272,37 +277,61 @@ fn service_supervision(report: &Registry) {
     .spawn("127.0.0.1:0")
     .expect("bind ephemeral port");
 
-    let mut client = Client::connect(server.local_addr()).expect("connect");
-    client.set_key(&[0x2Bu8; 16]).expect("SET_KEY");
-    // 16 pipelined 4 KiB jobs: ~200 ms of modeled work queued on one
-    // paced worker, so several 100 ms autoscale ticks see real depth.
+    // Sample the live-worker gauge through the whole act.
+    let done = Arc::new(AtomicBool::new(false));
+    let sampler = {
+        let (registry, done) = (server.registry().clone(), Arc::clone(&done));
+        std::thread::spawn(move || {
+            let mut peak = 0;
+            while !done.load(Ordering::Relaxed) {
+                peak = peak.max(registry.snapshot().gauge("engine.workers").unwrap_or(0));
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            peak
+        })
+    };
+
+    let mut clients: Vec<Client> = [0x2Bu8, 0x7E]
+        .iter()
+        .map(|&k| {
+            let mut client = Client::connect(server.local_addr()).expect("connect");
+            client.set_key(&[k; 16]).expect("SET_KEY");
+            client
+        })
+        .collect();
+    // 16 pipelined 4 KiB jobs over two sessions: ~200 ms of modeled work
+    // queued on one paced worker, so several 100 ms autoscale ticks see
+    // real depth.
     let bulk = vec![0x33u8; 256 * 16];
-    for _ in 0..16 {
-        client
+    for i in 0..16 {
+        clients[i % 2]
             .pipeline(Op::EcbEncrypt, None, &bulk)
             .expect("pipelined submit");
     }
-    let replies = client.collect_all().expect("collect pipelined bulk");
-    assert_eq!(replies.len(), 16);
-    assert!(
-        replies.iter().all(|j| j.result.is_ok()),
-        "bulk jobs succeed"
-    );
+    for client in &mut clients {
+        let replies = client.collect_all().expect("collect pipelined bulk");
+        assert_eq!(replies.len(), 8);
+        assert!(
+            replies.iter().all(|j| j.result.is_ok()),
+            "bulk jobs succeed"
+        );
+    }
 
     // Grow must already have happened during traffic; the shrink lands
     // within a few ticks of the queue going quiet.
     let deadline = Instant::now() + Duration::from_secs(10);
+    let floor = i64::try_from(policy.min_workers).expect("a small floor");
     let (grows, shrinks) = loop {
         let snap = server.registry().snapshot();
         let grows = snap.counter("engine.resize.grow").unwrap_or(0);
         let shrinks = snap.counter("engine.resize.shrink").unwrap_or(0);
-        if grows >= 1 && shrinks >= 1 {
+        if grows >= 1 && shrinks >= 1 && snap.gauge("engine.workers") == Some(floor) {
             break (grows, shrinks);
         }
         assert!(
             Instant::now() < deadline,
             "supervisor must grow and shrink the farm (saw grow={grows} shrink={shrinks} \
-             workers={:?} depth={:?} completed={:?})",
+             workers={:?} (floor {floor}) depth={:?} completed={:?})",
             snap.gauge("engine.workers"),
             snap.gauge("engine.queue.depth"),
             snap.counter("engine.jobs.completed"),
@@ -310,9 +339,18 @@ fn service_supervision(report: &Registry) {
         std::thread::sleep(Duration::from_millis(50));
     };
 
+    done.store(true, Ordering::Relaxed);
+    let peak = sampler.join().expect("gauge sampler");
+    let ceiling = i64::try_from(policy.max_workers).expect("a small ceiling");
+    assert!(
+        peak > floor && peak <= ceiling,
+        "the one server pool must grow within its ceiling: peak {peak} workers, \
+         floor {floor}, ceiling {ceiling}"
+    );
+
     // The same figures a real operator sees: GET_STATS carries the
-    // resize counters and the live worker gauge.
-    let stats_json = client.stats().expect("GET_STATS");
+    // resize counters and the live worker gauge, back at the floor.
+    let stats_json = clients[0].stats().expect("GET_STATS");
     for needle in [
         "engine.resize.grow",
         "engine.resize.shrink",
@@ -323,11 +361,17 @@ fn service_supervision(report: &Registry) {
             "GET_STATS must expose {needle}"
         );
     }
+    assert!(
+        stats_json.contains(&format!(
+            "\"name\":\"engine.workers\",\"type\":\"gauge\",\"value\":{floor}}}"
+        )),
+        "GET_STATS must show the pool shrunk back to {floor} worker(s)"
+    );
     println!(
-        "Service supervision — autoscaler grew x{grows} and shrank x{shrinks} under pipelined bulk load; counters visible via GET_STATS"
+        "Service supervision — the server pool grew x{grows} (peak {peak} workers) and shrank x{shrinks} back to {floor} under pipelined bulk load from two sessions; counters visible via GET_STATS"
     );
     report.counter("bench.elastic.service.grow").add(grows);
     report.counter("bench.elastic.service.shrink").add(shrinks);
-    drop(client);
+    drop(clients);
     server.shutdown();
 }

@@ -8,11 +8,11 @@
 //!    the run generated.
 //! 2. **Noisy neighbor** — a client streaming 256 KiB bulk jobs shares
 //!    one shard with a client timing small CTR bursts. The bulk work
-//!    rides the session worker pool, so the run asserts the small
+//!    rides the server's worker pool, so the run asserts the small
 //!    p99 stays far below one bulk job's modeled crypto time — the
 //!    regression this guards is bulk crypto ever moving back onto the
 //!    event-loop thread. The elastic supervisor must also grow the
-//!    bulk session's farm under the queue pressure.
+//!    server's pool under the queue pressure.
 //! 3. **Connection scale** — a helper child process (re-invoking this
 //!    binary with `--hold`) parks 10 000 idle connections on the
 //!    server while short-lived clients churn through bursty pipelined
@@ -182,7 +182,7 @@ fn run_load(
 /// the shard only routes completions, so the run asserts the small
 /// p99 stays under half of one modeled bulk job. The elastic policy
 /// rides along: bulk queue depth must make the supervisor grow the
-/// session's farm, visible in the same snapshot `GET_STATS` serves.
+/// server's pool, visible in the same snapshot `GET_STATS` serves.
 fn mixed_traffic(smoke: bool) {
     const BLOCK_NS: u32 = 2_000;
     let bulk_len = 256 * 1024; // MAX_PAYLOAD: 16 384 blocks ≈ 33 ms paced

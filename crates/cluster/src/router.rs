@@ -302,9 +302,11 @@ impl ClusterClient {
 
     /// Runs `f` against the current session's connection. A transport
     /// error re-establishes the session (reconnect + chain replay) and,
-    /// when `retry` is set, runs `f` once more on the fresh connection;
-    /// without `retry` the original error is returned. A node that
-    /// stays dead surfaces as [`ClientError::NodeUnreachable`].
+    /// when `retry` is set and the lost connection had no pipelined job
+    /// in flight, runs `f` once more on the fresh connection. Otherwise
+    /// the original error is returned: jobs in flight went with the old
+    /// connection, and the caller must see that they are lost. A node
+    /// that stays dead surfaces as [`ClientError::NodeUnreachable`].
     fn with_current<R>(
         &mut self,
         retry: bool,
@@ -317,12 +319,13 @@ impl ClusterClient {
             .sessions
             .remove(&label)
             .expect("current always names a live session");
+        let idle = entry.client.in_flight() == 0;
         let mut result = f(&mut entry.client);
         if matches!(result, Err(ClientError::Io(_) | ClientError::Recv(_))) {
             match self.establish(entry.node, &entry.chain) {
                 Ok(fresh) => {
                     entry.client = fresh;
-                    if retry {
+                    if retry && idle {
                         result = f(&mut entry.client);
                     }
                 }

@@ -555,6 +555,49 @@ fn cluster_stats_aggregate_every_nodes_counters() {
 }
 
 #[test]
+fn a_sync_op_does_not_retry_through_a_reconnect_that_lost_jobs() {
+    let (handles, addrs) = spawn_nodes(1);
+    let proxy = TapProxy::spawn(addrs[0]);
+    let mut fleet = ClusterClient::connect(&[proxy.addr], &KEK).expect("cluster connects");
+    let key = [0x6Du8; 16];
+    fleet.set_key(&key).expect("session opens");
+
+    // The pipelined request is swallowed and the connection reset; the
+    // sync op that follows meets the dead connection.
+    proxy.cut_next();
+    fleet
+        .pipeline(Op::EcbEncrypt, None, &[0u8; 16])
+        .expect("the send itself succeeds");
+    assert_eq!(fleet.in_flight(), 1);
+    match fleet.ecb_encrypt(&[0u8; 16]) {
+        Err(ClientError::Io(_) | ClientError::Recv(_)) => {}
+        other => panic!("a retry would hide the lost job, got {other:?}"),
+    }
+    assert_eq!(fleet.in_flight(), 0, "the lost job is gone, and said so");
+
+    // The session was re-established, so the next call is served and a
+    // transport error on an idle connection is still retried.
+    let ct = fleet
+        .ecb_encrypt(&[0u8; 16])
+        .expect("re-established session serves");
+    let mut expect = [0u8; 16];
+    rijndael::BlockCipher::encrypt_in_place(&TtableAes::new(&key).expect("key"), &mut expect);
+    assert_eq!(ct, expect);
+    proxy.cut_next();
+    assert_eq!(
+        fleet
+            .ecb_encrypt(&[0u8; 16])
+            .expect("an idle connection retries"),
+        expect
+    );
+
+    drop(fleet);
+    for handle in handles {
+        handle.shutdown();
+    }
+}
+
+#[test]
 fn collect_next_returns_the_transport_error_that_lost_its_jobs() {
     let (handles, addrs) = spawn_nodes(1);
     let proxy = TapProxy::spawn(addrs[0]);

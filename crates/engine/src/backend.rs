@@ -11,13 +11,16 @@
 //! block so scheduler arithmetic stays uniform.
 
 use core::fmt;
+use std::sync::Arc;
 use std::time::Duration;
 
 use aes_ip::bus::{IpDriver, StreamError};
 use aes_ip::core::{CycleCore, DecryptCore, Direction, EncDecCore, EncryptCore, LATENCY_CYCLES};
 use rijndael::dispatch::{self, AutoCipher, Kind};
 use rijndael::ttable::TtableAes;
-use rijndael::{Bitsliced8, BlockCipher, Rijndael};
+use rijndael::{BatchCipher, Bitsliced8, Rijndael};
+
+use crate::pool::LaneKey;
 
 /// Which backend a farm slot holds; the unit of farm configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -142,35 +145,23 @@ impl BackendSpec {
                 TtableAes::new(key).expect("key must be 16, 24, or 32 bytes"),
                 "soft-ttable",
             )),
-            BackendSpec::Bitsliced => Box::new(BitslicedBackend::new(key)),
-            BackendSpec::AesNi => {
-                let kind = if Kind::AesNi.available() {
-                    Kind::AesNi
-                } else {
-                    Kind::Neon
-                };
-                // `for_kind` asserts availability, satisfying the
-                // fail-loudly contract when neither instruction set is
-                // present.
-                Box::new(DispatchBackend::new(
-                    AutoCipher::for_kind(kind, key).expect("hardware AES kinds build a cipher"),
-                ))
+            BackendSpec::Bitsliced => {
+                Box::new(SoftwareBackend::new(Bitsliced8::new(key), "soft-bitsliced"))
             }
+            // `for_kind` asserts availability, satisfying the fail-loudly
+            // contract when neither instruction set is present.
+            BackendSpec::AesNi => dispatched(
+                AutoCipher::for_kind(hardware_kind(), key)
+                    .expect("hardware AES kinds build a cipher"),
+            ),
             BackendSpec::Auto => match dispatch::selection().bulk {
                 // A forced ip-core selection has no software cipher; the
-                // combined-core hardware model fills the slot. The model
-                // is AES-128-only, so longer keys take the same software
-                // diversion as the explicit ip-core specs.
-                Kind::IpCore => match <&[u8; 16]>::try_from(key) {
-                    Ok(k16) => Box::new(IpCoreBackend::new(EncDecCore::new(), k16, "ip-encdec")),
-                    Err(_) => Box::new(SoftwareBackend::new(
-                        Rijndael::<4>::new(key).expect("key must be 16, 24, or 32 bytes"),
-                        "soft-fallback",
-                    )),
-                },
-                kind => Box::new(DispatchBackend::new(
+                // combined-core hardware model fills the slot, with its
+                // software diversion for longer keys.
+                Kind::IpCore => BackendSpec::EncDecCore.build(key),
+                kind => dispatched(
                     AutoCipher::for_kind(kind, key).expect("non-ip-core selections build a cipher"),
-                )),
+                ),
             },
             BackendSpec::Paced { block_ns } => Box::new(PacedBackend::new(
                 BackendSpec::Ttable.build(key),
@@ -178,22 +169,74 @@ impl BackendSpec {
             )),
         }
     }
-}
 
-impl fmt::Display for BackendSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+    /// Builds the backend a pool worker runs a lane's jobs on. `Auto`
+    /// slots wrap the lane's shared schedule and expand none of their
+    /// own (unless `ip-core` is pinned, which has no software schedule);
+    /// every other spec keys itself from the raw bytes as
+    /// [`BackendSpec::build`] does — an IP core through its `wr_key`
+    /// bus path.
+    pub(crate) fn load(self, key: &LaneKey) -> Box<dyn Backend> {
+        match self {
+            BackendSpec::Auto if dispatch::selection().bulk != Kind::IpCore => {
+                dispatched(Arc::clone(key.cipher()))
+            }
+            spec => spec.build(&key.raw),
+        }
+    }
+
+    /// Whether the slot's datapath runs `dir`. Decided by the spec
+    /// alone, so a pool routes work before any key is loaded.
+    pub(crate) fn supports(self, dir: Direction) -> bool {
+        !matches!(
+            (self, dir),
+            (BackendSpec::EncryptCore, Direction::Decrypt)
+                | (BackendSpec::DecryptCore, Direction::Encrypt)
+        )
+    }
+
+    /// The name a backend built from this spec with a 16-byte key
+    /// reports (24/32-byte keys divert IP-core slots to
+    /// `soft-fallback`); `Auto` names the resolved selection.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
             BackendSpec::EncryptCore => "ip-encrypt",
             BackendSpec::DecryptCore => "ip-decrypt",
             BackendSpec::EncDecCore => "ip-encdec",
             BackendSpec::Software => "soft-ref",
-            BackendSpec::Ttable => "soft-ttable",
+            BackendSpec::Ttable | BackendSpec::Paced { .. } => "soft-ttable",
             BackendSpec::Bitsliced => "soft-bitsliced",
+            BackendSpec::AesNi => hardware_kind().backend_name(),
+            BackendSpec::Auto => dispatch::selection().bulk.backend_name(),
+        }
+    }
+}
+
+impl fmt::Display for BackendSpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
             BackendSpec::AesNi => "soft-aesni",
             BackendSpec::Auto => "auto",
             BackendSpec::Paced { .. } => "paced",
-        };
-        f.write_str(s)
+            spec => spec.name(),
+        })
+    }
+}
+
+/// A dispatched cipher, owned or shared with other users of its key, as
+/// a farm member under its resolved name.
+fn dispatched(cipher: impl Into<Arc<AutoCipher>>) -> Box<dyn Backend> {
+    let cipher = cipher.into();
+    let name = cipher.backend_name();
+    Box::new(SoftwareBackend::new(cipher, name))
+}
+
+/// The hardware AES kind [`BackendSpec::AesNi`] builds on this host.
+fn hardware_kind() -> Kind {
+    if Kind::AesNi.available() {
+        Kind::AesNi
+    } else {
+        Kind::Neon
     }
 }
 
@@ -257,25 +300,13 @@ pub trait Backend: Send {
     /// [`BackendError::Bus`] for hardware streaming faults.
     fn process_block(&mut self, block: &mut [u8; 16], dir: Direction) -> Result<(), BackendError>;
 
-    /// Processes a batch of independent blocks in place. Hardware
-    /// backends pipeline the batch through the decoupled `Data_In`/`Out`
-    /// bus so steady-state cost approaches [`LATENCY_CYCLES`] per block.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Backend::process_block`].
-    fn process_stream(
-        &mut self,
-        blocks: &mut [[u8; 16]],
-        dir: Direction,
-    ) -> Result<(), BackendError>;
-
     /// Processes a batch of independent blocks in place through the
     /// backend's widest datapath. The default walks the batch one
     /// [`Backend::process_block`] at a time; backends with a genuinely
-    /// wider path override it — the IP cores pipeline the batch across
-    /// the decoupled bus, and the bitsliced backend runs whole
-    /// multi-block passes. The scheduler's sharded ECB/CTR paths submit
+    /// wider path override it — the IP cores pipeline the batch through
+    /// the decoupled `Data_In`/`Out` bus, so steady-state cost approaches
+    /// [`LATENCY_CYCLES`] per block, and the software ciphers run their
+    /// batch paths (whole multi-block passes when bitsliced). The scheduler's sharded ECB/CTR paths submit
     /// through this method, sized in multiples of 8 blocks so bitsliced
     /// granules stay full.
     ///
@@ -368,26 +399,18 @@ impl<C: CycleCore + Send> Backend for IpCoreBackend<C> {
         Ok(())
     }
 
-    fn process_stream(
-        &mut self,
-        blocks: &mut [[u8; 16]],
-        dir: Direction,
-    ) -> Result<(), BackendError> {
-        let results = self.driver.try_process_stream(blocks, dir)?;
-        for (b, r) in blocks.iter_mut().zip(results) {
-            *b = r;
-        }
-        self.blocks += blocks.len() as u64;
-        Ok(())
-    }
-
     fn process_batch(
         &mut self,
         blocks: &mut [[u8; 16]],
         dir: Direction,
     ) -> Result<(), BackendError> {
         // The bus pipeline is the hardware's widest path.
-        self.process_stream(blocks, dir)
+        let results = self.driver.try_process_stream(blocks, dir)?;
+        for (b, r) in blocks.iter_mut().zip(results) {
+            *b = r;
+        }
+        self.blocks += blocks.len() as u64;
+        Ok(())
     }
 
     fn blocks(&self) -> u64 {
@@ -410,9 +433,18 @@ impl<C: CycleCore + Send> Backend for IpCoreBackend<C> {
 /// A software cipher as a [`Backend`]: no clock, so virtual time is a
 /// nominal one cycle per block (occupancy is by definition 100%).
 ///
-/// Key hygiene rides on the wrapped cipher: [`rijndael::Aes128`] and [`TtableAes`]
-/// wipe their expanded schedules when the backend is dropped (see
-/// `rijndael::zeroize`).
+/// Batches go through the cipher's [`BatchCipher`] path, so a bitsliced
+/// cipher runs whole multi-block passes and a dispatched
+/// [`AutoCipher`] its widest lane; single blocks (chained modes) go
+/// through [`rijndael::BlockCipher`]. A [`BackendSpec::Auto`] slot holds an
+/// `Arc<AutoCipher>` — the implementation the micro-race (or
+/// `RIJNDAEL_FORCE_BACKEND`) picked — under the *resolved* name
+/// (`soft-aesni`, `soft-bitsliced-wide`, ...), so `GET_STATS` and the
+/// `engine.core.<i>.<backend>.*` telemetry show which path ran.
+///
+/// Key hygiene rides on the wrapped cipher: the software ciphers wipe
+/// their expanded schedules when dropped (see `rijndael::zeroize`); a
+/// shared `Arc` schedule wipes when its last handle goes.
 #[derive(Debug, Clone)]
 pub struct SoftwareBackend<B> {
     cipher: B,
@@ -420,7 +452,7 @@ pub struct SoftwareBackend<B> {
     blocks: u64,
 }
 
-impl<B: BlockCipher> SoftwareBackend<B> {
+impl<B: BatchCipher> SoftwareBackend<B> {
     /// Wraps a 16-byte-block cipher as a farm member labeled `name`.
     ///
     /// # Panics
@@ -437,7 +469,7 @@ impl<B: BlockCipher> SoftwareBackend<B> {
     }
 }
 
-impl<B: BlockCipher + Send> Backend for SoftwareBackend<B> {
+impl<B: BatchCipher + Send> Backend for SoftwareBackend<B> {
     fn name(&self) -> &'static str {
         self.name
     }
@@ -455,183 +487,11 @@ impl<B: BlockCipher + Send> Backend for SoftwareBackend<B> {
         Ok(())
     }
 
-    fn process_stream(
-        &mut self,
-        blocks: &mut [[u8; 16]],
-        dir: Direction,
-    ) -> Result<(), BackendError> {
-        for block in blocks.iter_mut() {
-            match dir {
-                Direction::Encrypt => self.cipher.encrypt_in_place(block),
-                Direction::Decrypt => self.cipher.decrypt_in_place(block),
-            }
-        }
-        self.blocks += blocks.len() as u64;
-        Ok(())
-    }
-
-    fn blocks(&self) -> u64 {
-        self.blocks
-    }
-
-    fn cycles(&self) -> u64 {
-        self.blocks
-    }
-
-    fn setup_cycles(&self) -> u64 {
-        0
-    }
-
-    fn busy_cycles(&self) -> u64 {
-        self.blocks
-    }
-}
-
-/// The bitsliced software cipher as a [`Backend`] with a real batch path.
-///
-/// Single blocks (chained modes) go through a padded 8-block granule —
-/// correct but slow, which is exactly the backend's contract: it earns
-/// its keep on [`Backend::process_batch`], where whole 64-block passes
-/// make it the fastest software farm member on bulk ECB/CTR work. Cost
-/// model matches [`SoftwareBackend`]: a nominal cycle per block.
-#[derive(Debug, Clone)]
-pub struct BitslicedBackend {
-    cipher: Bitsliced8,
-    blocks: u64,
-}
-
-impl BitslicedBackend {
-    /// Builds the backend with `key` expanded and broadcast.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key.len()` is not 16, 24 or 32 bytes.
-    #[must_use]
-    pub fn new(key: &[u8]) -> Self {
-        BitslicedBackend {
-            cipher: Bitsliced8::new(key),
-            blocks: 0,
-        }
-    }
-}
-
-impl Backend for BitslicedBackend {
-    fn name(&self) -> &'static str {
-        "soft-bitsliced"
-    }
-
-    fn supports(&self, _dir: Direction) -> bool {
-        true
-    }
-
-    fn process_block(&mut self, block: &mut [u8; 16], dir: Direction) -> Result<(), BackendError> {
-        match dir {
-            Direction::Encrypt => self.cipher.encrypt_in_place(block),
-            Direction::Decrypt => self.cipher.decrypt_in_place(block),
-        }
-        self.blocks += 1;
-        Ok(())
-    }
-
-    fn process_stream(
-        &mut self,
-        blocks: &mut [[u8; 16]],
-        dir: Direction,
-    ) -> Result<(), BackendError> {
-        self.process_batch(blocks, dir)
-    }
-
     fn process_batch(
         &mut self,
         blocks: &mut [[u8; 16]],
         dir: Direction,
     ) -> Result<(), BackendError> {
-        match dir {
-            Direction::Encrypt => self.cipher.encrypt_blocks(blocks),
-            Direction::Decrypt => self.cipher.decrypt_blocks(blocks),
-        }
-        self.blocks += blocks.len() as u64;
-        Ok(())
-    }
-
-    fn blocks(&self) -> u64 {
-        self.blocks
-    }
-
-    fn cycles(&self) -> u64 {
-        self.blocks
-    }
-
-    fn setup_cycles(&self) -> u64 {
-        0
-    }
-
-    fn busy_cycles(&self) -> u64 {
-        self.blocks
-    }
-}
-
-/// The runtime-dispatched cipher ([`AutoCipher`]) as a [`Backend`].
-///
-/// This is what a [`BackendSpec::Auto`] farm slot holds: the micro-race
-/// (or `RIJNDAEL_FORCE_BACKEND`) decides the implementation once per
-/// process, and [`Backend::name`] reports the *resolved* backend
-/// (`soft-aesni`, `soft-bitsliced-wide`, ...) so `GET_STATS` and the
-/// `engine.core.<i>.<backend>.*` telemetry show which path actually ran.
-/// Cost model matches the other software backends: a nominal cycle per
-/// block.
-#[derive(Debug, Clone)]
-pub struct DispatchBackend {
-    cipher: AutoCipher,
-    blocks: u64,
-}
-
-impl DispatchBackend {
-    /// Wraps an already-dispatched cipher as a farm member.
-    #[must_use]
-    pub fn new(cipher: AutoCipher) -> Self {
-        DispatchBackend { cipher, blocks: 0 }
-    }
-
-    /// Which dispatch [`Kind`] the wrapped cipher runs.
-    #[must_use]
-    pub fn kind(&self) -> Kind {
-        self.cipher.kind()
-    }
-}
-
-impl Backend for DispatchBackend {
-    fn name(&self) -> &'static str {
-        self.cipher.backend_name()
-    }
-
-    fn supports(&self, _dir: Direction) -> bool {
-        true
-    }
-
-    fn process_block(&mut self, block: &mut [u8; 16], dir: Direction) -> Result<(), BackendError> {
-        match dir {
-            Direction::Encrypt => self.cipher.encrypt_in_place(block),
-            Direction::Decrypt => self.cipher.decrypt_in_place(block),
-        }
-        self.blocks += 1;
-        Ok(())
-    }
-
-    fn process_stream(
-        &mut self,
-        blocks: &mut [[u8; 16]],
-        dir: Direction,
-    ) -> Result<(), BackendError> {
-        self.process_batch(blocks, dir)
-    }
-
-    fn process_batch(
-        &mut self,
-        blocks: &mut [[u8; 16]],
-        dir: Direction,
-    ) -> Result<(), BackendError> {
-        use rijndael::BatchCipher;
         match dir {
             Direction::Encrypt => self.cipher.encrypt_blocks(blocks),
             Direction::Decrypt => self.cipher.decrypt_blocks(blocks),
@@ -716,16 +576,6 @@ impl Backend for PacedBackend {
 
     fn process_block(&mut self, block: &mut [u8; 16], dir: Direction) -> Result<(), BackendError> {
         let r = self.inner.process_block(block, dir);
-        self.pace();
-        r
-    }
-
-    fn process_stream(
-        &mut self,
-        blocks: &mut [[u8; 16]],
-        dir: Direction,
-    ) -> Result<(), BackendError> {
-        let r = self.inner.process_stream(blocks, dir);
         self.pace();
         r
     }
@@ -830,7 +680,7 @@ mod tests {
         let before = backend.cycles();
         let mut blocks = [[0u8; 16]; 4];
         backend
-            .process_stream(&mut blocks, Direction::Encrypt)
+            .process_batch(&mut blocks, Direction::Encrypt)
             .unwrap();
         let spent = backend.cycles() - before;
         // One load edge then one block per latency period.
@@ -845,7 +695,7 @@ mod tests {
         assert!(!backend.supports(Direction::Encrypt));
         let mut blocks = [[0u8; 16]; 2];
         let err = backend
-            .process_stream(&mut blocks, Direction::Encrypt)
+            .process_batch(&mut blocks, Direction::Encrypt)
             .unwrap_err();
         assert!(matches!(err, BackendError::Bus(_)), "{err:?}");
     }
@@ -857,8 +707,8 @@ mod tests {
         let mut ttable = BackendSpec::Ttable.build(&key);
         let mut a = [[7u8; 16]; 3];
         let mut b = a;
-        soft.process_stream(&mut a, Direction::Encrypt).unwrap();
-        ttable.process_stream(&mut b, Direction::Encrypt).unwrap();
+        soft.process_batch(&mut a, Direction::Encrypt).unwrap();
+        ttable.process_batch(&mut b, Direction::Encrypt).unwrap();
         assert_eq!(a, b);
         assert_eq!(soft.cycles(), 3); // one nominal cycle per block
         assert_eq!(soft.busy_cycles(), 3);
@@ -981,6 +831,20 @@ mod tests {
         hw.process_block(&mut block, Direction::Decrypt).unwrap();
         assert_eq!(block, FIPS197_C1.plaintext);
         assert!(hw.name().starts_with("soft-"), "{}", hw.name());
+    }
+
+    #[test]
+    fn spec_name_and_datapath_match_the_built_backend() {
+        let key = fips_key();
+        let mut specs = BackendSpec::detected();
+        specs.extend([BackendSpec::Auto, BackendSpec::Paced { block_ns: 0 }]);
+        for spec in specs {
+            let backend = spec.build(&key);
+            assert_eq!(spec.name(), backend.name(), "{spec}");
+            for dir in [Direction::Encrypt, Direction::Decrypt] {
+                assert_eq!(spec.supports(dir), backend.supports(dir), "{spec} {dir:?}");
+            }
+        }
     }
 
     #[test]

@@ -244,7 +244,8 @@ pub struct JobOutput {
 }
 
 /// One configured farm slot: a spec keyed when the farm starts, or a
-/// backend the caller keyed already.
+/// backend the caller keyed already (an engine's only; a pool keys its
+/// workers per job).
 pub(crate) enum FarmSlot {
     Spec(BackendSpec),
     Keyed(Box<dyn Backend>),
@@ -284,7 +285,7 @@ impl FarmSlot {
 /// assert_eq!(reg.snapshot().counter("engine.jobs.completed"), Some(1));
 /// ```
 pub struct FarmBuilder<T> {
-    slots: Vec<FarmSlot>,
+    pub(crate) slots: Vec<FarmSlot>,
     capacity: Option<usize>,
     registry: Option<Registry>,
     target: PhantomData<fn() -> T>,
@@ -321,13 +322,6 @@ impl<T> FarmBuilder<T> {
     #[must_use]
     pub fn cores(mut self, specs: &[BackendSpec]) -> Self {
         self.slots.extend(specs.iter().map(|&s| FarmSlot::Spec(s)));
-        self
-    }
-
-    /// Adds an already-keyed backend as the next farm slot.
-    #[must_use]
-    pub fn backend(mut self, worker: Box<dyn Backend>) -> Self {
-        self.slots.push(FarmSlot::Keyed(worker));
         self
     }
 
@@ -602,6 +596,7 @@ impl BlockCipher for BackendCipher<'_> {
 /// growth is published as *deltas*, so farms sharing one registry (every
 /// session of a service) sum coherently.
 pub(crate) struct CoreTel {
+    name: &'static str,
     blocks: Counter,
     cycles: Counter,
     setup_cycles: Counter,
@@ -611,9 +606,10 @@ pub(crate) struct CoreTel {
 }
 
 impl CoreTel {
-    pub(crate) fn register(registry: &Registry, index: usize, name: &str) -> CoreTel {
+    pub(crate) fn register(registry: &Registry, index: usize, name: &'static str) -> CoreTel {
         let prefix = format!("engine.core.{index}.{name}");
         CoreTel {
+            name,
             blocks: registry.counter(&format!("{prefix}.blocks")),
             cycles: registry.counter(&format!("{prefix}.cycles")),
             setup_cycles: registry.counter(&format!("{prefix}.setup_cycles")),
@@ -621,6 +617,18 @@ impl CoreTel {
             occupancy: registry.histogram("engine.core.occupancy_bp", &OCCUPANCY_BOUNDS),
             pushed: Cell::new([0; 4]),
         }
+    }
+
+    /// The backend name the counters are published under.
+    pub(crate) fn name(&self) -> &'static str {
+        self.name
+    }
+
+    /// Forgets the pushed values, for a fresh backend whose own counters
+    /// start at zero: its growth then adds onto the same instruments, so
+    /// they stay monotone across backends.
+    pub(crate) fn rebase(&self) {
+        self.pushed.set([0; 4]);
     }
 
     /// Pushes `backend`'s counter growth since the last sync and samples

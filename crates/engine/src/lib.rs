@@ -21,8 +21,9 @@
 //!   cycles on its clock and records per-job latency in cycles;
 //! * [`pool`] — the [`WorkerPool`], assembled by [`PoolBuilder`]: the
 //!   wall-clock counterpart — each core owned by an OS worker thread
-//!   with a local deque, work-stealing between siblings, completions
-//!   over a channel, and an elastic control plane
+//!   with a local deque, work-stealing between siblings, keyed
+//!   [`Lane`]s whose jobs carry their key and whose completions come
+//!   back over the lane's own channel, and an elastic control plane
 //!   ([`WorkerPool::add_core`] / [`WorkerPool::remove_core`] /
 //!   [`WorkerPool::swap_core`], plus [`WorkerPool::autoscale_tick`]
 //!   under a [`ResizePolicy`], driven by the pool's own load);
@@ -75,11 +76,12 @@ pub mod scheduler;
 pub mod stats;
 
 pub use crate::backend::{
-    Backend, BackendError, BackendSpec, BitslicedBackend, IpCoreBackend, PacedBackend,
-    SoftwareBackend,
+    Backend, BackendError, BackendSpec, IpCoreBackend, PacedBackend, SoftwareBackend,
 };
 pub use crate::error::Error;
 pub use crate::job::{FarmBuilder, JobError, JobId, JobOutput, Mode, SubmitError};
-pub use crate::pool::{PoolBuilder, ResizeAction, ResizePolicy, WorkerPool};
+pub use crate::pool::{
+    Lane, LaneKey, Notifier, PoolBuilder, ResizeAction, ResizePolicy, WorkerPool,
+};
 pub use crate::scheduler::{Engine, EngineBuilder};
 pub use crate::stats::{CoreStats, FarmStats};

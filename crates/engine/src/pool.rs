@@ -1,12 +1,10 @@
-//! True thread-parallel execution: a work-stealing, elastic worker pool.
+//! True thread-parallel execution: a work-stealing, elastic worker pool
+//! shared by any number of keyed lanes.
 //!
 //! The [`Engine`](crate::Engine) drives the paper's farm in *virtual
 //! time* on the caller's thread. [`WorkerPool`] is the wall-clock
-//! counterpart: each [`Backend`] core gets an owning OS worker thread
-//! with a local deque, submission goes through a shared `&self` handle,
-//! and finished jobs come back over a completion channel (plus an
-//! optional notifier callback, which the TCP service wires to a
-//! self-pipe so its `poll(2)` loops wake without spinning).
+//! counterpart: each farm slot gets an owning OS worker thread with a
+//! local deque, and finished jobs come back over a completion channel.
 //!
 //! Both run the one job model of [`job`](crate::job): the same
 //! [`PoolBuilder`] configuration, the same admission gate (job ids, the
@@ -21,23 +19,44 @@
 //! back of the longest sibling deque (never a pinned task, never a
 //! direction its datapath lacks).
 //!
+//! # Lanes: the key rides with the job
+//!
+//! The pool holds no key. Jobs arrive through a [`Lane`]: one client's
+//! [`LaneKey`] (the shared software schedule plus the raw bytes, wiped
+//! on drop), its own open-job count bounded by the pool's capacity, its
+//! own completion queue and an optional [`Notifier`]. Every job carries
+//! its lane, so one pool serves any number of keys — the paper's IP
+//! loads a key through the same narrow bus as data (`wr_key`) and
+//! builds its round keys on the fly, so one datapath serves any key. A
+//! worker loads a key only when a job's lane differs from the one it
+//! holds: [`BackendSpec::Auto`] slots run the lane's shared schedule
+//! and expand none of their own, IP-core slots take the `wr_key` path,
+//! and every switch counts in `engine.core.<i>.rekeys`. A worker drops
+//! its key before it parks, so an idle pool holds no key material; one
+//! with nothing queued drops it even before delivering its job. One
+//! lane at its capacity gets `Busy` while the others keep submitting.
+//!
+//! [`PoolBuilder::build`] is a pool plus one lane under the given key,
+//! and [`WorkerPool::try_submit`] submits through that lane;
+//! [`PoolBuilder::build_shared`] is a pool with no lane of its own whose
+//! clients open theirs with [`WorkerPool::open_lane`].
+//!
 //! The farm is *elastic* — the software analog of partial FPGA
 //! reconfiguration: [`WorkerPool::add_core`] and
 //! [`WorkerPool::remove_core`] grow and shrink the worker set while jobs
 //! are in flight, and [`WorkerPool::swap_core`] hot-swaps one worker's
-//! backend between tasks without draining the farm. A retired slot's
-//! pinned streams re-pin to a surviving capable worker; its parallel
-//! shards fall back to the injector, and injector work the narrowed
-//! farm can no longer serve fails typed instead of stranding.
+//! backend spec between tasks without draining the farm. A retired
+//! slot's pinned streams re-pin to a surviving capable worker; its
+//! parallel shards fall back to the injector, and injector work the
+//! narrowed farm can no longer serve fails typed instead of stranding.
 //! [`WorkerPool::autoscale_tick`] drives resizing from the pool's own
 //! open-job count and the occupancy samples its own workers recorded
-//! under a [`ResizePolicy`] — never from registry-wide instruments, which
-//! every session of a service writes into — and every decision is
-//! visible as `engine.resize.*` counters and the `engine.workers` gauge.
+//! under a [`ResizePolicy`], and every decision is visible as
+//! `engine.resize.*` counters and the `engine.workers` gauge, which
+//! counts live worker threads.
 //!
-//! Worker threads spawn (and key their backends) lazily on the first
-//! submission, so a pool that never sees work (an idle service session
-//! holding only a key) costs no threads and no key schedules.
+//! Worker threads spawn lazily on the first submission, so a pool that
+//! never sees work costs no threads and no key loads.
 //!
 //! # Examples
 //!
@@ -56,13 +75,14 @@
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use aes_ip::core::Direction;
+use rijndael::dispatch::{AutoCipher, Kind};
 use telemetry::{Counter, Gauge, Histogram, Registry};
 
 use crate::backend::{Backend, BackendSpec};
@@ -77,6 +97,11 @@ use crate::job::{
 const JOB_US_BOUNDS: [u64; 12] = [
     50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000,
 ];
+
+/// A lane's completion callback, fired once per delivered job after the
+/// output is in the lane's queue. The service points it at a shard's
+/// wake pipe so `poll(2)` loops re-arm without polling the pool.
+pub type Notifier = Arc<dyn Fn() + Send + Sync>;
 
 /// What [`WorkerPool::autoscale_tick`] decided this tick.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,10 +120,10 @@ pub struct ResizePolicy {
     /// Never grow past this many live workers.
     pub max_workers: usize,
     /// Grow when this pool has at least this many of its *own* jobs
-    /// open (accepted, not yet delivered). The shared
-    /// `engine.queue.depth` gauge is deliberately not consulted: every
-    /// keyed session publishes into the same service registry, so a
-    /// neighbor's backlog would over-grow unrelated pools.
+    /// open (accepted, not yet delivered), over all its lanes. The
+    /// registry-wide `engine.queue.depth` gauge is deliberately not
+    /// consulted: another farm publishing into the same registry would
+    /// over-grow this one.
     pub grow_depth: usize,
     /// Shrink only after this many *consecutive* idle ticks, so a burst
     /// gap does not flap the farm.
@@ -124,6 +149,65 @@ impl Default for ResizePolicy {
     }
 }
 
+/// One lane's key as the pool's workers load it: the dispatch-selected
+/// software schedule, shared through an [`Arc`] with every other user of
+/// the key (a service session's GCM, XTS, CMAC and key-wrap lanes), plus
+/// the raw bytes that IP-core and other non-[`BackendSpec::Auto`] slots
+/// key themselves from. The raw bytes are wiped on drop; the schedule
+/// wipes itself when its last handle goes.
+pub struct LaneKey {
+    cipher: Arc<AutoCipher>,
+    pub(crate) raw: Vec<u8>,
+}
+
+impl LaneKey {
+    /// Expands the shared schedule from `key`. When the deployment is
+    /// pinned to the batch-less `ip-core` the schedule is the T-table
+    /// kind (GCM, XTS, CMAC and key wrap still need one), and `Auto`
+    /// slots load the IP-core model from the raw bytes instead.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key.len()` is not 16, 24 or 32 bytes.
+    #[must_use]
+    pub fn new(key: &[u8]) -> LaneKey {
+        let cipher = AutoCipher::new(key).unwrap_or_else(|| {
+            AutoCipher::for_kind(Kind::Ttable, key).expect("the T-table kind is always available")
+        });
+        LaneKey {
+            cipher: Arc::new(cipher),
+            raw: key.to_vec(),
+        }
+    }
+
+    /// The shared software schedule.
+    #[must_use]
+    pub fn cipher(&self) -> &Arc<AutoCipher> {
+        &self.cipher
+    }
+}
+
+impl Drop for LaneKey {
+    fn drop(&mut self) {
+        rijndael::zeroize::wipe_bytes(&mut self.raw);
+    }
+}
+
+/// What every job of one lane carries: the key, the open-job count and
+/// the completion sink.
+struct LaneShared {
+    /// Unique within the pool: what a worker compares to decide whether
+    /// the key it holds is this lane's.
+    id: u64,
+    key: LaneKey,
+    /// Jobs accepted and not yet delivered. Changed only under the pool
+    /// state lock, which orders it, so `Relaxed` suffices; a read
+    /// outside the lock is a statistic.
+    open: AtomicUsize,
+    tx: Sender<JobOutput>,
+    notifier: Option<Notifier>,
+}
+
 /// One unit of schedulable work: a shard (or the whole) of a job.
 struct Task {
     job: Arc<JobState>,
@@ -137,50 +221,52 @@ struct Task {
     data: Vec<u8>,
 }
 
-/// Shared completion state of one job across its shards.
+/// Shared completion state of one job across its shards. Each shard's
+/// task holds one handle; whoever drops the last one assembles and
+/// delivers the output.
 struct JobState {
     id: JobId,
+    lane: Arc<LaneShared>,
     started: Instant,
     /// One slot per shard, reassembled in order at completion.
     parts: Mutex<Vec<Option<Vec<u8>>>>,
-    /// Shards still outstanding; the worker that takes this to zero
-    /// assembles and delivers the output.
-    remaining: Mutex<usize>,
     /// First fault wins; the job reports it once every shard has landed.
     failed: Mutex<Option<JobError>>,
 }
 
 impl JobState {
-    fn new(id: JobId, parts: usize) -> Arc<JobState> {
+    fn new(id: JobId, lane: &Arc<LaneShared>, parts: usize) -> Arc<JobState> {
         Arc::new(JobState {
             id,
+            lane: Arc::clone(lane),
             started: Instant::now(),
             parts: Mutex::new(vec![None; parts]),
-            remaining: Mutex::new(parts),
             failed: Mutex::new(None),
         })
     }
 }
 
 /// One farm slot's scheduler-visible state. The worker thread owns the
-/// backend itself; the slot mirrors just what routing decisions need.
+/// backend itself; the slot mirrors just what routing decisions need,
+/// all of it decided by the slot's spec.
 struct Slot {
     alive: bool,
-    name: &'static str,
-    enc: bool,
-    dec: bool,
+    spec: BackendSpec,
     queue: VecDeque<Task>,
-    /// A pre-built replacement backend the worker installs before its
-    /// next task (hot-swap without draining the farm).
-    swap: Option<Box<dyn Backend>>,
+    /// A replacement spec the worker installs before its next task
+    /// (hot-swap without draining the farm).
+    swap: Option<BackendSpec>,
     busy: bool,
 }
 
 impl Slot {
-    fn supports(&self, dir: Direction) -> bool {
-        match dir {
-            Direction::Encrypt => self.enc,
-            Direction::Decrypt => self.dec,
+    fn new(spec: BackendSpec) -> Slot {
+        Slot {
+            alive: true,
+            spec,
+            queue: VecDeque::new(),
+            swap: None,
+            busy: false,
         }
     }
 
@@ -193,17 +279,18 @@ struct State {
     slots: Vec<Slot>,
     injector: VecDeque<Task>,
     /// Farm slots waiting for the lazy first-submission spawn.
-    pending: Vec<FarmSlot>,
-    /// Jobs accepted and not yet delivered — the bounded-capacity count.
+    pending: Vec<BackendSpec>,
+    /// Jobs accepted and not yet delivered, over every lane.
     open: usize,
     started: bool,
     shutdown: bool,
+    handles: Vec<JoinHandle<()>>,
 }
 
 impl State {
     fn eligible(&self, dir: Direction) -> Vec<usize> {
         (0..self.slots.len())
-            .filter(|&i| self.slots[i].alive && self.slots[i].supports(dir))
+            .filter(|&i| self.slots[i].alive && self.slots[i].spec.supports(dir))
             .collect()
     }
 
@@ -220,35 +307,34 @@ impl State {
     /// task would otherwise sit there forever, leaking its capacity
     /// slot and hanging `wait_idle`.
     fn drain_unservable_injector(&mut self) -> Vec<Task> {
-        let can_enc = self.slots.iter().any(|s| s.alive && s.enc);
-        let can_dec = self.slots.iter().any(|s| s.alive && s.dec);
-        take_unservable(&mut self.injector, can_enc, can_dec)
+        let slots = &self.slots;
+        take_unservable(&mut self.injector, |dir| {
+            slots.iter().any(|s| s.alive && s.spec.supports(dir))
+        })
     }
 }
 
-/// Removes and returns the tasks in `queue` whose direction a datapath
-/// with the given capabilities cannot run, keeping the rest in order.
-fn take_unservable(queue: &mut VecDeque<Task>, enc: bool, dec: bool) -> Vec<Task> {
+/// Removes and returns the tasks in `queue` whose direction `can` rules
+/// out, keeping the rest in order.
+fn take_unservable(queue: &mut VecDeque<Task>, can: impl Fn(Direction) -> bool) -> Vec<Task> {
     let (kept, gone): (VecDeque<Task>, VecDeque<Task>) =
-        queue.drain(..).partition(|t| match t.mode.direction() {
-            Direction::Encrypt => enc,
-            Direction::Decrypt => dec,
-        });
+        queue.drain(..).partition(|t| can(t.mode.direction()));
     *queue = kept;
     gone.into()
 }
 
+/// The scheduler core the owner, every lane and every worker thread
+/// share.
 struct Inner {
     state: Mutex<State>,
     /// Wakes workers when tasks arrive, a swap lands, or shutdown starts.
     work_cv: Condvar,
-    /// Wakes [`WorkerPool::wait_idle`] when `open` returns to zero.
+    /// Wakes idle waiters when a lane's open count returns to zero.
     idle_cv: Condvar,
     gate: Gate,
-    /// Key bytes for building grown / swapped backends; wiped on drop.
-    key: Mutex<Vec<u8>>,
-    tx: Mutex<Sender<JobOutput>>,
-    notifier: Mutex<Option<Arc<dyn Fn() + Send + Sync>>>,
+    /// `engine.workers`: live worker threads.
+    workers: Gauge,
+    next_lane: AtomicU64,
     job_us: Histogram,
     steals: Counter,
     /// `(count, sum)` of the occupancy samples this pool's workers
@@ -259,62 +345,57 @@ struct Inner {
 }
 
 impl Inner {
-    /// Final delivery: publish counters, push the output down the
-    /// channel, fire the notifier, and only then release the capacity
-    /// slot — locks are never held across the callback.
-    fn deliver(&self, out: JobOutput, started: Instant) {
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect("pool state poisoned")
+    }
+
+    /// Final delivery: publish counters, push the output down the lane's
+    /// channel, fire its notifier, and only then release the capacity
+    /// slot — locks are never held across the callback. The lane handle
+    /// drops under the state lock, so a waiter that sees the lane idle
+    /// also sees no worker holding its key.
+    fn deliver(&self, lane: Arc<LaneShared>, out: JobOutput, started: Instant) {
         self.gate.retire(out.data.is_ok());
         let us = started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
         self.job_us.record(us);
-        let _ = self.tx.lock().expect("sender poisoned").send(out);
-        let notify = self.notifier.lock().expect("notifier poisoned").clone();
-        if let Some(f) = notify {
+        // A closed lane (its session re-keyed or hung up) discards the
+        // output; the job still retires and frees its slot.
+        let _ = lane.tx.send(out);
+        if let Some(f) = &lane.notifier {
             f();
         }
-        // The capacity slot is released only after the output is on the
-        // channel and the notifier has fired, so `wait_idle` returning
-        // means every delivery side effect is visible.
-        let mut st = self.state.lock().expect("pool state poisoned");
+        let mut st = self.lock();
         st.open -= 1;
-        if st.open == 0 {
+        if lane.open.fetch_sub(1, Ordering::Relaxed) == 1 {
             self.idle_cv.notify_all();
         }
+        drop(lane);
     }
 
-    /// Records one shard's result; the last shard in assembles the job
-    /// and delivers it. Call *without* holding the state lock.
-    fn finish_part(&self, job: &Arc<JobState>, part: usize, result: Result<Vec<u8>, JobError>) {
+    /// Records one shard's result; the holder of the job's last handle
+    /// assembles the job and delivers it. Call *without* holding the
+    /// state lock.
+    fn finish_part(&self, job: Arc<JobState>, part: usize, result: Result<Vec<u8>, JobError>) {
         match result {
             Ok(bytes) => job.parts.lock().expect("job parts poisoned")[part] = Some(bytes),
             Err(e) => {
-                let mut failed = job.failed.lock().expect("job fault slot poisoned");
-                if failed.is_none() {
-                    *failed = Some(e);
-                }
+                job.failed
+                    .lock()
+                    .expect("job fault slot poisoned")
+                    .get_or_insert(e);
             }
         }
-        let last = {
-            let mut remaining = job.remaining.lock().expect("job remaining poisoned");
-            *remaining -= 1;
-            *remaining == 0
-        };
-        if !last {
+        let Some(job) = Arc::into_inner(job) else {
             return;
-        }
-        let fault = job.failed.lock().expect("job fault slot poisoned").take();
-        let data = match fault {
+        };
+        let data = match job.failed.into_inner().expect("job fault slot poisoned") {
             Some(e) => Err(e),
             None => {
-                let mut parts = job.parts.lock().expect("job parts poisoned");
-                let total: usize = parts.iter().map(|p| p.as_ref().map_or(0, Vec::len)).sum();
-                let mut buf = Vec::with_capacity(total);
-                for p in parts.iter_mut() {
-                    buf.extend_from_slice(&p.take().expect("every shard landed"));
-                }
-                Ok(buf)
+                let parts = job.parts.into_inner().expect("job parts poisoned");
+                Ok(parts.into_iter().flatten().collect::<Vec<_>>().concat())
             }
         };
-        self.deliver(JobOutput { id: job.id, data }, job.started);
+        self.deliver(job.lane, JobOutput { id: job.id, data }, job.started);
     }
 
     /// Fails every task in `tasks` (used when a remove/swap leaves a
@@ -322,7 +403,7 @@ impl Inner {
     fn fail_tasks(&self, tasks: Vec<Task>) {
         for t in tasks {
             let dir = t.mode.direction();
-            self.finish_part(&t.job, t.part, Err(JobError::NoCapableCore { dir }));
+            self.finish_part(t.job, t.part, Err(JobError::NoCapableCore { dir }));
         }
     }
 
@@ -337,25 +418,54 @@ impl Inner {
     }
 }
 
+/// Spawns the configured workers on the first submission.
+fn ensure_started(inner: &Arc<Inner>, st: &mut State) {
+    if !st.started {
+        st.started = true;
+        for spec in std::mem::take(&mut st.pending) {
+            spawn_worker(inner, st, spec);
+        }
+    }
+}
+
+/// Registers a slot for `spec` and spawns its owning thread. Returns the
+/// new slot index.
+fn spawn_worker(inner: &Arc<Inner>, st: &mut State, spec: BackendSpec) -> usize {
+    let index = st.slots.len();
+    st.slots.push(Slot::new(spec));
+    let shared = Arc::clone(inner);
+    let handle = std::thread::Builder::new()
+        .name(format!("engine-worker-{index}"))
+        .spawn(move || Worker::new(&shared, index, spec).run(&shared))
+        .expect("spawn engine worker thread");
+    st.handles.push(handle);
+    inner.workers.add(1);
+    index
+}
+
 /// Configures and builds a [`WorkerPool`]; see [`FarmBuilder`].
 pub type PoolBuilder = FarmBuilder<WorkerPool>;
 
 impl FarmBuilder<WorkerPool> {
-    /// Assembles the pool. The key is retained (and wiped on drop) so
-    /// spec-built, grown and hot-swapped workers can be keyed at
-    /// runtime; worker threads spawn lazily on the first submission.
+    /// Assembles a pool with no lane of its own: clients open theirs
+    /// with [`WorkerPool::open_lane`], each bounded by the configured
+    /// capacity. No worker thread starts until the first submission.
     ///
     /// # Panics
     ///
     /// Panics on an empty farm or a zero-capacity queue, like the
     /// engine's `build`.
     #[must_use]
-    pub fn build(self, key: &[u8]) -> WorkerPool {
-        let (pending, gate) = self.finish();
+    pub fn build_shared(self) -> WorkerPool {
+        let (slots, gate) = self.finish();
+        let pending = slots
+            .into_iter()
+            .map(|slot| match slot {
+                FarmSlot::Spec(spec) => spec,
+                FarmSlot::Keyed(_) => unreachable!("only an EngineBuilder takes keyed backends"),
+            })
+            .collect();
         let registry = gate.registry.clone();
-        let workers_gauge = registry.gauge("engine.workers");
-        workers_gauge.add(pending.len() as i64);
-        let (tx, rx) = channel();
         WorkerPool {
             inner: Arc::new(Inner {
                 state: Mutex::new(State {
@@ -365,111 +475,92 @@ impl FarmBuilder<WorkerPool> {
                     open: 0,
                     started: false,
                     shutdown: false,
+                    handles: Vec::new(),
                 }),
                 work_cv: Condvar::new(),
                 idle_cv: Condvar::new(),
                 gate,
-                key: Mutex::new(key.to_vec()),
-                tx: Mutex::new(tx),
-                notifier: Mutex::new(None),
+                workers: registry.gauge("engine.workers"),
+                next_lane: AtomicU64::new(0),
                 job_us: registry.histogram("engine.pool.job_us", &JOB_US_BOUNDS),
                 steals: registry.counter("engine.pool.steals"),
                 occupancy: Mutex::new((0, 0)),
             }),
-            rx: Mutex::new(rx),
-            handles: Mutex::new(Vec::new()),
+            own: None,
             resize_grow: registry.counter("engine.resize.grow"),
             resize_shrink: registry.counter("engine.resize.shrink"),
             resize_swap: registry.counter("engine.resize.swap"),
-            workers_gauge,
             idle_streak: AtomicU32::new(0),
         }
     }
+
+    /// Assembles a pool plus one lane keyed with `key`, which
+    /// [`WorkerPool::try_submit`] and the collect calls use.
+    ///
+    /// # Panics
+    ///
+    /// As [`FarmBuilder::build_shared`], and if `key.len()` is not 16,
+    /// 24 or 32 bytes.
+    #[must_use]
+    pub fn build(self, key: &[u8]) -> WorkerPool {
+        let mut pool = self.build_shared();
+        pool.own = Some(pool.open_lane(LaneKey::new(key), None));
+        pool
+    }
 }
 
-/// The work-stealing elastic thread pool. See the [module docs](self).
-pub struct WorkerPool {
+/// One keyed client of a [`WorkerPool`]: its key, its bounded open-job
+/// count and its completion queue. Dropping a lane with jobs in flight
+/// is safe: they finish under the lane's key and their outputs are
+/// discarded. See the [module docs](self).
+pub struct Lane {
     inner: Arc<Inner>,
+    shared: Arc<LaneShared>,
     rx: Mutex<Receiver<JobOutput>>,
-    handles: Mutex<Vec<JoinHandle<()>>>,
-    resize_grow: Counter,
-    resize_shrink: Counter,
-    resize_swap: Counter,
-    workers_gauge: Gauge,
-    idle_streak: AtomicU32,
 }
 
-impl WorkerPool {
-    /// Shorthand: a pool over `specs` with a private registry.
+impl Lane {
+    /// The lane's key.
     #[must_use]
-    pub fn with_farm(key: &[u8], specs: &[BackendSpec], capacity: usize) -> WorkerPool {
-        PoolBuilder::new()
-            .cores(specs)
-            .capacity(capacity)
-            .build(key)
+    pub fn key(&self) -> &LaneKey {
+        &self.shared.key
     }
 
-    /// The registry this pool publishes into.
-    #[must_use]
-    pub fn registry(&self) -> &Registry {
-        &self.inner.gate.registry
-    }
-
-    /// The bounded open-job capacity (the `Busy` detail value).
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.inner.gate.capacity
-    }
-
-    /// Jobs accepted and not yet delivered.
+    /// This lane's jobs accepted and not yet delivered.
     #[must_use]
     pub fn open_jobs(&self) -> usize {
-        self.inner.state.lock().expect("pool state poisoned").open
+        self.shared.open.load(Ordering::Relaxed)
     }
 
-    /// Live workers (configured-but-unspawned count before the lazy
-    /// start, alive slots after).
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        let st = self.inner.state.lock().expect("pool state poisoned");
-        if st.started {
-            st.slots.iter().filter(|s| s.alive).count()
-        } else {
-            st.pending.len()
-        }
-    }
-
-    /// Installs (or replaces) the completion notifier: called once per
-    /// delivered job, after the output is in the channel. The service
-    /// points this at a shard's wake pipe so `poll(2)` loops re-arm
-    /// without polling the pool.
-    pub fn set_notifier(&self, notifier: Arc<dyn Fn() + Send + Sync>) {
-        *self.inner.notifier.lock().expect("notifier poisoned") = Some(notifier);
-    }
-
-    /// Enqueues a mode operation over `data`, applying backpressure, and
-    /// wakes a worker. The first accepted submission spawns the worker
-    /// threads.
+    /// Enqueues a mode operation over `data` under the lane's key,
+    /// applying the lane's backpressure, and wakes a worker. The pool's
+    /// first accepted submission spawns its worker threads.
     ///
     /// Parallel modes (ECB, CTR) are dealt across every eligible worker
     /// in 8-block granules; chained modes pin to the least-loaded capable
-    /// worker. The completion surfaces from [`WorkerPool::try_collect`] /
-    /// [`WorkerPool::collect_timeout`] in completion order.
+    /// worker. The completion surfaces from [`Lane::try_collect`] /
+    /// [`Lane::collect_timeout`] in completion order.
     ///
     /// # Errors
     ///
-    /// * [`SubmitError::Busy`] when `capacity` jobs are already open (or
-    ///   the pool is shutting down);
+    /// * [`SubmitError::Busy`] when the pool's capacity of this lane's
+    ///   jobs are already open (or the pool is shutting down);
     /// * [`SubmitError::RaggedLength`] when an ECB/CBC job is not a whole
     ///   number of blocks.
     pub fn try_submit(&self, mode: Mode, data: Vec<u8>) -> Result<JobId, SubmitError> {
-        let mut st = self.inner.state.lock().expect("pool state poisoned");
+        let inner = &self.inner;
+        let mut st = inner.lock();
         // A pool shutting down is full for good.
-        let open = if st.shutdown { usize::MAX } else { st.open };
-        let id = self.inner.gate.admit(open, mode, data.len())?;
-        self.ensure_started(&mut st);
+        let open = if st.shutdown {
+            usize::MAX
+        } else {
+            self.open_jobs()
+        };
+        let id = inner.gate.admit(open, mode, data.len())?;
+        ensure_started(inner, &mut st);
         // Take the capacity slot first — deliver() releases it.
         st.open += 1;
+        self.shared.open.fetch_add(1, Ordering::Relaxed);
         let dir = mode.direction();
         let eligible = st.eligible(dir);
         if eligible.is_empty() || data.is_empty() {
@@ -483,15 +574,16 @@ impl WorkerPool {
             } else {
                 Ok(Vec::new())
             };
-            self.inner.deliver(JobOutput { id, data }, Instant::now());
+            let lane = Arc::clone(&self.shared);
+            inner.deliver(lane, JobOutput { id, data }, Instant::now());
             return Ok(id);
         }
         if mode.is_parallel() && eligible.len() > 1 {
-            deal_shards(&mut st, id, mode, data, &eligible);
+            deal_shards(&mut st, id, &self.shared, mode, data, &eligible);
         } else {
             let pinned = !mode.is_parallel();
             let task = Task {
-                job: JobState::new(id, 1),
+                job: JobState::new(id, &self.shared, 1),
                 part: 0,
                 pinned,
                 mode,
@@ -507,61 +599,162 @@ impl WorkerPool {
             }
         }
         drop(st);
-        self.inner.work_cv.notify_all();
+        inner.work_cv.notify_all();
         Ok(id)
     }
 
-    /// Spawns the configured workers on the first submission.
-    fn ensure_started(&self, st: &mut State) {
-        if st.started {
-            return;
-        }
-        st.started = true;
-        let pending = std::mem::take(&mut st.pending);
-        let key = self.inner.key.lock().expect("pool key poisoned").clone();
-        for slot in pending {
-            self.spawn_worker(st, slot.build(&key));
+    /// A finished job, if one is ready — non-blocking, completion order.
+    #[must_use]
+    pub fn try_collect(&self) -> Option<JobOutput> {
+        self.rx
+            .lock()
+            .expect("lane receiver poisoned")
+            .try_recv()
+            .ok()
+    }
+
+    /// A finished job, waiting up to `timeout` for one to complete.
+    #[must_use]
+    pub fn collect_timeout(&self, timeout: Duration) -> Option<JobOutput> {
+        self.rx
+            .lock()
+            .expect("lane receiver poisoned")
+            .recv_timeout(timeout)
+            .ok()
+    }
+
+    /// Waits up to `timeout` for every job of this lane to be delivered
+    /// (other lanes' work does not count). Returns `true` when the lane
+    /// went idle, `false` on timeout — the graceful-shutdown bound for
+    /// callers that must not hang on a wedged backend.
+    #[must_use]
+    pub fn wait_idle_timeout(&self, timeout: Duration) -> bool {
+        let inner = &self.inner;
+        let waited = inner
+            .idle_cv
+            .wait_timeout_while(inner.lock(), timeout, |_| self.open_jobs() > 0)
+            .expect("pool state poisoned")
+            .1;
+        !waited.timed_out()
+    }
+}
+
+/// The work-stealing elastic thread pool. See the [module docs](self).
+pub struct WorkerPool {
+    inner: Arc<Inner>,
+    /// The lane [`PoolBuilder::build`] opens; `None` on a shared pool.
+    own: Option<Lane>,
+    resize_grow: Counter,
+    resize_shrink: Counter,
+    resize_swap: Counter,
+    idle_streak: AtomicU32,
+}
+
+impl WorkerPool {
+    /// Shorthand: a pool over `specs` with a private registry and one
+    /// lane keyed with `key`.
+    #[must_use]
+    pub fn with_farm(key: &[u8], specs: &[BackendSpec], capacity: usize) -> WorkerPool {
+        PoolBuilder::new()
+            .cores(specs)
+            .capacity(capacity)
+            .build(key)
+    }
+
+    /// Opens a lane under `key`: its own open-job bound (the pool's
+    /// capacity) and completion queue, and `notifier` fired once per
+    /// delivered job.
+    #[must_use]
+    pub fn open_lane(&self, key: LaneKey, notifier: Option<Notifier>) -> Lane {
+        let (tx, rx) = channel();
+        Lane {
+            inner: Arc::clone(&self.inner),
+            shared: Arc::new(LaneShared {
+                id: self.inner.next_lane.fetch_add(1, Ordering::Relaxed),
+                key,
+                open: AtomicUsize::new(0),
+                tx,
+                notifier,
+            }),
+            rx: Mutex::new(rx),
         }
     }
 
-    /// Registers a slot for `backend` and spawns its owning thread.
-    /// Returns the new slot index.
-    fn spawn_worker(&self, st: &mut State, backend: Box<dyn Backend>) -> usize {
-        let index = st.slots.len();
-        st.slots.push(Slot {
-            alive: true,
-            name: backend.name(),
-            enc: backend.supports(Direction::Encrypt),
-            dec: backend.supports(Direction::Decrypt),
-            queue: VecDeque::new(),
-            swap: None,
-            busy: false,
-        });
-        let inner = Arc::clone(&self.inner);
-        let handle = std::thread::Builder::new()
-            .name(format!("engine-worker-{index}"))
-            .spawn(move || worker_main(&inner, index, backend))
-            .expect("spawn engine worker thread");
-        self.handles
-            .lock()
-            .expect("pool handles poisoned")
-            .push(handle);
-        index
+    fn own(&self) -> &Lane {
+        self.own
+            .as_ref()
+            .expect("a shared pool takes jobs through the lanes opened on it")
     }
-    /// Adds one worker built from `spec` (with the pool's key) to the
-    /// live farm, returning its slot index. Counted as
-    /// `engine.resize.grow`.
-    pub fn add_core(&self, spec: BackendSpec) -> usize {
-        let mut st = self.inner.state.lock().expect("pool state poisoned");
-        let index = if st.started {
-            let key = self.inner.key.lock().expect("pool key poisoned").clone();
-            self.spawn_worker(&mut st, spec.build(&key))
+
+    /// The registry this pool publishes into.
+    #[must_use]
+    pub fn registry(&self) -> &Registry {
+        &self.inner.gate.registry
+    }
+
+    /// The bounded open-job capacity of each lane (the `Busy` detail
+    /// value).
+    #[must_use]
+    pub fn capacity(&self) -> usize {
+        self.inner.gate.capacity
+    }
+
+    /// Jobs accepted and not yet delivered, over every lane.
+    #[must_use]
+    pub fn open_jobs(&self) -> usize {
+        self.inner.lock().open
+    }
+
+    /// Live workers (configured-but-unspawned count before the lazy
+    /// start, alive slots after).
+    #[must_use]
+    pub fn workers(&self) -> usize {
+        let st = self.inner.lock();
+        if st.started {
+            st.slots.iter().filter(|s| s.alive).count()
         } else {
-            st.pending.push(FarmSlot::Spec(spec));
+            st.pending.len()
+        }
+    }
+
+    /// Submits through the pool's own lane; see [`Lane::try_submit`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Lane::try_submit`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on a pool from [`PoolBuilder::build_shared`], which has no
+    /// lane of its own.
+    pub fn try_submit(&self, mode: Mode, data: Vec<u8>) -> Result<JobId, SubmitError> {
+        self.own().try_submit(mode, data)
+    }
+
+    /// A finished job of the pool's own lane; see [`Lane::try_collect`].
+    #[must_use]
+    pub fn try_collect(&self) -> Option<JobOutput> {
+        self.own().try_collect()
+    }
+
+    /// A finished job of the pool's own lane, waiting up to `timeout`;
+    /// see [`Lane::collect_timeout`].
+    #[must_use]
+    pub fn collect_timeout(&self, timeout: Duration) -> Option<JobOutput> {
+        self.own().collect_timeout(timeout)
+    }
+
+    /// Adds one worker built from `spec` to the live farm, returning its
+    /// slot index. Counted as `engine.resize.grow`.
+    pub fn add_core(&self, spec: BackendSpec) -> usize {
+        let mut st = self.inner.lock();
+        let index = if st.started {
+            spawn_worker(&self.inner, &mut st, spec)
+        } else {
+            st.pending.push(spec);
             st.pending.len() - 1
         };
         drop(st);
-        self.workers_gauge.add(1);
         self.resize_grow.incr();
         self.inner.work_cv.notify_all();
         index
@@ -573,12 +766,11 @@ impl WorkerPool {
     /// [`JobError::NoCapableCore`]. Counted as `engine.resize.shrink`.
     /// Returns `false` for an unknown or already-retired slot.
     pub fn remove_core(&self, index: usize) -> bool {
-        let mut st = self.inner.state.lock().expect("pool state poisoned");
+        let mut st = self.inner.lock();
         if !st.started {
             if index < st.pending.len() {
                 st.pending.remove(index);
                 drop(st);
-                self.workers_gauge.sub(1);
                 self.resize_shrink.incr();
                 return true;
             }
@@ -593,25 +785,23 @@ impl WorkerPool {
         unroutable.extend(st.drain_unservable_injector());
         drop(st);
         self.inner.fail_tasks(unroutable);
-        self.workers_gauge.sub(1);
+        self.inner.workers.sub(1);
         self.resize_shrink.incr();
         self.inner.work_cv.notify_all();
         true
     }
 
-    /// Hot-swaps the backend of the worker at `index` to one freshly
-    /// built from `spec` with the pool's key, *without* draining the
-    /// farm: the worker installs the replacement before its next task;
-    /// the task it is executing right now finishes on the old backend.
-    /// Queued tasks the new backend cannot serve are re-routed first.
-    /// Counted as `engine.resize.swap`. Returns `false` for an unknown
-    /// or retired slot.
+    /// Hot-swaps the worker at `index` to `spec` *without* draining the
+    /// farm: the worker installs it before its next task; the task it is
+    /// executing right now finishes on the old backend. Queued tasks the
+    /// new spec cannot serve are re-routed first. Counted as
+    /// `engine.resize.swap`. Returns `false` for an unknown or retired
+    /// slot.
     pub fn swap_core(&self, index: usize, spec: BackendSpec) -> bool {
-        let key = self.inner.key.lock().expect("pool key poisoned").clone();
-        let mut st = self.inner.state.lock().expect("pool state poisoned");
+        let mut st = self.inner.lock();
         if !st.started {
             if index < st.pending.len() {
-                st.pending[index] = FarmSlot::Spec(spec);
+                st.pending[index] = spec;
                 drop(st);
                 self.resize_swap.incr();
                 return true;
@@ -621,19 +811,12 @@ impl WorkerPool {
         if index >= st.slots.len() || !st.slots[index].alive {
             return false;
         }
-        let backend = spec.build(&key);
-        let (enc, dec) = (
-            backend.supports(Direction::Encrypt),
-            backend.supports(Direction::Decrypt),
-        );
-        st.slots[index].name = backend.name();
-        st.slots[index].enc = enc;
-        st.slots[index].dec = dec;
-        st.slots[index].swap = Some(backend);
-        // The slot's queue may hold directions the new backend lacks
+        let slot = &mut st.slots[index];
+        (slot.spec, slot.swap) = (spec, Some(spec));
+        // The slot's queue may hold directions the new spec lacks
         // (e.g. encdec -> encrypt-only): migrate them before the worker
         // blindly pops its own deque.
-        let stale = take_unservable(&mut st.slots[index].queue, enc, dec);
+        let stale = take_unservable(&mut slot.queue, |dir| spec.supports(dir));
         let mut unroutable = reroute(&mut st, stale);
         unroutable.extend(st.drain_unservable_injector());
         drop(st);
@@ -644,15 +827,15 @@ impl WorkerPool {
     }
 
     /// One supervisor tick of the elastic control plane: reads this
-    /// pool's own open-job count and the occupancy samples its own
-    /// workers recorded since the last tick, and grows or shrinks the
-    /// farm under `policy`. The registry-wide `engine.queue.depth` gauge
-    /// and `engine.core.occupancy_bp` histogram are deliberately not
-    /// consulted: every farm on a shared registry writes into them, so a
-    /// busy neighbor would grow this pool or keep it from shrinking.
-    /// Growth requires this pool's own queue pressure; shrinking
-    /// requires [`ResizePolicy::shrink_after_ticks`] consecutive idle
-    /// ticks with the cores below the saturation bar.
+    /// pool's own open-job count (over all its lanes) and the occupancy
+    /// samples its own workers recorded since the last tick, and grows or
+    /// shrinks the farm under `policy`. The registry-wide
+    /// `engine.queue.depth` gauge and `engine.core.occupancy_bp`
+    /// histogram are deliberately not consulted: every farm on a shared
+    /// registry writes into them, so a busy neighbor would grow this pool
+    /// or keep it from shrinking. Growth requires this pool's own queue
+    /// pressure; shrinking requires [`ResizePolicy::shrink_after_ticks`]
+    /// consecutive idle ticks with the cores below the saturation bar.
     pub fn autoscale_tick(&self, policy: &ResizePolicy) -> Option<ResizeAction> {
         let (count, sum) = std::mem::take(
             &mut *self
@@ -672,7 +855,7 @@ impl WorkerPool {
             if streak >= policy.shrink_after_ticks {
                 self.idle_streak.store(0, Ordering::Relaxed);
                 let victim = {
-                    let st = self.inner.state.lock().expect("pool state poisoned");
+                    let st = self.inner.lock();
                     (0..st.slots.len()).rev().find(|&i| st.slots[i].alive)
                 };
                 if let Some(i) = victim {
@@ -687,54 +870,10 @@ impl WorkerPool {
         None
     }
 
-    /// A finished job, if one is ready — non-blocking, completion order.
-    #[must_use]
-    pub fn try_collect(&self) -> Option<JobOutput> {
-        self.rx
-            .lock()
-            .expect("pool receiver poisoned")
-            .try_recv()
-            .ok()
-    }
-
-    /// A finished job, waiting up to `timeout` for one to complete.
-    #[must_use]
-    pub fn collect_timeout(&self, timeout: Duration) -> Option<JobOutput> {
-        self.rx
-            .lock()
-            .expect("pool receiver poisoned")
-            .recv_timeout(timeout)
-            .ok()
-    }
-
-    /// Blocks until no jobs are open (all accepted work delivered).
+    /// Blocks until no jobs are open on any lane.
     pub fn wait_idle(&self) {
-        let mut st = self.inner.state.lock().expect("pool state poisoned");
-        while st.open > 0 {
-            st = self.inner.idle_cv.wait(st).expect("pool state poisoned");
-        }
-    }
-
-    /// Like [`WorkerPool::wait_idle`], but gives up after `timeout`.
-    /// Returns `true` when the pool went idle (every accepted job
-    /// delivered), `false` on timeout — the graceful-shutdown bound for
-    /// callers that must not hang on a wedged backend.
-    #[must_use]
-    pub fn wait_idle_timeout(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut st = self.inner.state.lock().expect("pool state poisoned");
-        while st.open > 0 {
-            let Some(left) = deadline.checked_duration_since(Instant::now()) else {
-                return false;
-            };
-            let (guard, _) = self
-                .inner
-                .idle_cv
-                .wait_timeout(st, left)
-                .expect("pool state poisoned");
-            st = guard;
-        }
-        true
+        let inner = &self.inner;
+        drop(inner.idle_cv.wait_while(inner.lock(), |st| st.open > 0));
     }
 
     /// Graceful shutdown: refuses new submissions, lets the workers
@@ -742,17 +881,12 @@ impl WorkerPool {
     /// (typed, so no job is silently lost), and joins the threads.
     /// Already-delivered outputs stay collectable. Idempotent.
     pub fn shutdown(&self) {
-        {
-            let mut st = self.inner.state.lock().expect("pool state poisoned");
+        let handles = {
+            let mut st = self.inner.lock();
             st.shutdown = true;
-        }
+            std::mem::take(&mut st.handles)
+        };
         self.inner.work_cv.notify_all();
-        let handles: Vec<JoinHandle<()>> = self
-            .handles
-            .lock()
-            .expect("pool handles poisoned")
-            .drain(..)
-            .collect();
         for h in handles {
             // Worker panics are contained by the catch_unwind in the
             // run loop (the held job already failed typed); joining
@@ -764,8 +898,8 @@ impl WorkerPool {
         // fail every leftover task so its job completes and `wait_idle`
         // callers — and the clients behind them — are released.
         let (live, leftovers) = {
-            let mut st = self.inner.state.lock().expect("pool state poisoned");
-            let live = st.slots.iter().filter(|s| s.alive).count() + st.pending.len();
+            let mut st = self.inner.lock();
+            let live = st.slots.iter().filter(|s| s.alive).count();
             let mut leftovers: Vec<Task> = st.injector.drain(..).collect();
             for s in st.slots.iter_mut() {
                 leftovers.extend(s.queue.drain(..));
@@ -774,9 +908,7 @@ impl WorkerPool {
             st.pending.clear();
             (live, leftovers)
         };
-        if live > 0 {
-            self.workers_gauge.sub(live as i64);
-        }
+        self.inner.workers.sub(live as i64);
         self.inner.fail_tasks(leftovers);
     }
 }
@@ -794,14 +926,6 @@ impl fmt::Debug for WorkerPool {
 impl Drop for WorkerPool {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-impl Drop for Inner {
-    fn drop(&mut self) {
-        if let Ok(mut key) = self.key.lock() {
-            rijndael::zeroize::wipe_bytes(&mut key);
-        }
     }
 }
 
@@ -826,114 +950,204 @@ fn reroute(st: &mut State, tasks: Vec<Task>) -> Vec<Task> {
     unroutable
 }
 
-/// What the worker loop decided to do next (chosen under the state lock,
-/// acted on outside it).
-enum Action {
-    Run(Task),
-    Install(Box<dyn Backend>),
-    Exit,
-}
-
-/// Finds runnable work for worker `me`: own deque front, then the first
-/// capable injector task, then a steal from the back of the longest
-/// sibling deque (unpinned, capable tasks only). Returns whether the
-/// task was stolen.
-fn find_task(st: &mut State, me: usize) -> Option<(Task, bool)> {
-    if let Some(t) = st.slots[me].queue.pop_front() {
-        return Some((t, false));
+/// Where worker `me`'s next runnable task sits, as `(deque, index)`
+/// with `None` naming the injector: its own deque front, then the first
+/// capable injector task, then the back-most unpinned, capable task of
+/// the longest sibling deque (a steal).
+fn locate(st: &State, me: usize) -> Option<(Option<usize>, usize)> {
+    if !st.slots[me].queue.is_empty() {
+        return Some((Some(me), 0));
     }
-    let (enc, dec) = (st.slots[me].enc, st.slots[me].dec);
-    let can = |dir: Direction| match dir {
-        Direction::Encrypt => enc,
-        Direction::Decrypt => dec,
-    };
-    if let Some(pos) = st.injector.iter().position(|t| can(t.mode.direction())) {
-        return st.injector.remove(pos).map(|t| (t, false));
+    let can = |t: &Task| st.slots[me].spec.supports(t.mode.direction());
+    if let Some(pos) = st.injector.iter().position(can) {
+        return Some((None, pos));
     }
     let mut victims: Vec<usize> = (0..st.slots.len())
         .filter(|&i| i != me && st.slots[i].alive && !st.slots[i].queue.is_empty())
         .collect();
     victims.sort_by_key(|&i| std::cmp::Reverse(st.slots[i].queue.len()));
-    for v in victims {
-        let queue = &mut st.slots[v].queue;
-        for pos in (0..queue.len()).rev() {
-            if !queue[pos].pinned && can(queue[pos].mode.direction()) {
-                return queue.remove(pos).map(|t| (t, true));
+    victims.into_iter().find_map(|v| {
+        let pos = st.slots[v]
+            .queue
+            .iter()
+            .rposition(|t| !t.pinned && can(t))?;
+        Some((Some(v), pos))
+    })
+}
+
+/// Takes worker `me`'s next runnable task (see [`locate`]) and whether
+/// it was stolen.
+fn find_task(st: &mut State, me: usize) -> Option<(Task, bool)> {
+    let (deque, pos) = locate(st, me)?;
+    let task = match deque {
+        Some(v) => st.slots[v].queue.remove(pos),
+        None => st.injector.remove(pos),
+    };
+    task.map(|t| (t, deque.is_some_and(|v| v != me)))
+}
+
+/// What the worker loop decided to do next (chosen under the state lock,
+/// acted on outside it).
+enum Action {
+    Run(Task),
+    /// Nothing to run: drop the held key before parking.
+    Release,
+    Install(BackendSpec),
+    Exit,
+}
+
+/// One worker thread's own state: its slot's spec and the backend keyed
+/// for the lane it served last.
+struct Worker {
+    me: usize,
+    spec: BackendSpec,
+    /// The lane whose key `backend` holds, and the backend.
+    loaded: Option<(u64, Box<dyn Backend>)>,
+    /// Counters of the backend name in use; a load that keeps the name
+    /// keeps them.
+    tel: CoreTel,
+    /// The lane whose key was loaded last. Kept after a release (it is an
+    /// id, not key material) so reloading the same key is no switch.
+    last_lane: Option<u64>,
+    /// `engine.core.<me>.rekeys`: loads of a key other than the last.
+    rekeys: Counter,
+}
+
+impl Worker {
+    fn new(inner: &Inner, me: usize, spec: BackendSpec) -> Worker {
+        let registry = &inner.gate.registry;
+        Worker {
+            me,
+            spec,
+            loaded: None,
+            tel: CoreTel::register(registry, me, spec.name()),
+            last_lane: None,
+            rekeys: registry.counter(&format!("engine.core.{me}.rekeys")),
+        }
+    }
+
+    /// Makes the backend hold `lane`'s key, building it from the slot's
+    /// spec (the `wr_key` path on an IP core) unless it already does.
+    fn load(&mut self, inner: &Inner, lane: &LaneShared) -> &mut dyn Backend {
+        if self.loaded.as_ref().is_none_or(|(id, _)| *id != lane.id) {
+            self.release(inner);
+            if self.last_lane.is_some_and(|id| id != lane.id) {
+                self.rekeys.incr();
+            }
+            self.last_lane = Some(lane.id);
+            let backend = self.spec.load(&lane.key);
+            self.publish_as(inner, backend.name());
+            self.loaded = Some((lane.id, backend));
+        }
+        self.loaded.as_mut().expect("just loaded").1.as_mut()
+    }
+
+    /// Publishes the counters under `name` from now on.
+    fn publish_as(&mut self, inner: &Inner, name: &'static str) {
+        if self.tel.name() != name {
+            self.tel = CoreTel::register(&inner.gate.registry, self.me, name);
+        }
+    }
+
+    /// Pushes the held backend's final deltas and drops it, and with it
+    /// the key (IP cores zero-reload their key register on drop).
+    fn release(&mut self, inner: &Inner) {
+        if let Some((_, backend)) = self.loaded.take() {
+            inner.sync_core(&self.tel, backend.as_ref());
+            self.tel.rebase();
+        }
+    }
+
+    fn run(mut self, inner: &Inner) {
+        loop {
+            let action = {
+                let mut st = inner.lock();
+                loop {
+                    if let Some(next) = st.slots[self.me].swap.take() {
+                        break Action::Install(next);
+                    }
+                    if !st.slots[self.me].alive {
+                        break Action::Exit;
+                    }
+                    if let Some((task, stolen)) = find_task(&mut st, self.me) {
+                        st.slots[self.me].busy = true;
+                        if stolen {
+                            inner.steals.incr();
+                        }
+                        break Action::Run(task);
+                    }
+                    if st.shutdown {
+                        break Action::Exit;
+                    }
+                    if self.loaded.is_some() {
+                        break Action::Release;
+                    }
+                    st = inner.work_cv.wait(st).expect("pool state poisoned");
+                }
+            };
+            match action {
+                Action::Run(task) => self.execute(inner, task),
+                Action::Release => self.release(inner),
+                Action::Install(next) => {
+                    self.release(inner);
+                    self.spec = next;
+                    self.publish_as(inner, next.name());
+                }
+                Action::Exit => {
+                    self.release(inner);
+                    return;
+                }
             }
         }
     }
-    None
-}
 
-fn worker_main(inner: &Inner, me: usize, mut backend: Box<dyn Backend>) {
-    let mut tel = CoreTel::register(&inner.gate.registry, me, backend.name());
-    loop {
-        let action = {
-            let mut st = inner.state.lock().expect("pool state poisoned");
-            loop {
-                if let Some(next) = st.slots[me].swap.take() {
-                    break Action::Install(next);
-                }
-                if !st.slots[me].alive {
-                    break Action::Exit;
-                }
-                if let Some((task, stolen)) = find_task(&mut st, me) {
-                    st.slots[me].busy = true;
-                    if stolen {
-                        inner.steals.incr();
-                    }
-                    break Action::Run(task);
-                }
-                if st.shutdown {
-                    break Action::Exit;
-                }
-                st = inner.work_cv.wait(st).expect("pool state poisoned");
-            }
+    fn execute(&mut self, inner: &Inner, task: Task) {
+        let Task {
+            job,
+            part,
+            mode,
+            first_block,
+            mut data,
+            ..
+        } = task;
+        // Contain backend panics, a key load's included: an unwind
+        // through the run loop would strand the held job (wait_idle
+        // hangs) and poison the state mutex for every other thread. The
+        // panic becomes a typed fault and the worker carries on.
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_span(self.load(inner, &job.lane), mode, first_block, &mut data)
+        }))
+        .unwrap_or(Err(JobError::WorkerPanicked));
+        let idle = {
+            let mut st = inner.lock();
+            st.slots[self.me].busy = false;
+            st.slots[self.me].queue.is_empty() && st.injector.is_empty()
         };
-        match action {
-            Action::Run(task) => {
-                let Task {
-                    job,
-                    part,
-                    mode,
-                    first_block,
-                    mut data,
-                    ..
-                } = task;
-                // Contain backend panics: an unwind through the run
-                // loop would strand the held job (wait_idle hangs) and
-                // poison the state mutex for every other thread. The
-                // panic becomes a typed fault and the worker carries
-                // on with the same backend.
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    run_span(backend.as_mut(), mode, first_block, &mut data)
-                }))
-                .unwrap_or(Err(JobError::WorkerPanicked));
-                inner.sync_core(&tel, backend.as_ref());
-                inner.state.lock().expect("pool state poisoned").slots[me].busy = false;
-                inner.finish_part(&job, part, result.map(|()| data));
-            }
-            Action::Install(next) => {
-                // Push the retiring backend's final deltas, drop it (IP
-                // cores zero-reload their key schedule on drop), and
-                // re-register counters under the new backend's name.
-                inner.sync_core(&tel, backend.as_ref());
-                backend = next;
-                tel = CoreTel::register(&inner.gate.registry, me, backend.name());
-            }
-            Action::Exit => {
-                inner.sync_core(&tel, backend.as_ref());
-                return;
-            }
+        // A worker with nothing queued for it drops the key before the
+        // job is delivered (any other drops it before parking), so a lane
+        // whose jobs each ran as one shard per worker is seen idle only
+        // once no worker holds its key.
+        if idle {
+            self.release(inner);
+        } else if let Some((_, backend)) = &self.loaded {
+            inner.sync_core(&self.tel, backend.as_ref());
         }
+        inner.finish_part(job, part, result.map(|()| data));
     }
 }
 
 /// Deals a parallel job's granule shards across the eligible workers'
 /// deques. Idle workers rebalance by stealing from the back.
-fn deal_shards(st: &mut State, id: JobId, mode: Mode, mut data: Vec<u8>, eligible: &[usize]) {
+fn deal_shards(
+    st: &mut State,
+    id: JobId,
+    lane: &Arc<LaneShared>,
+    mode: Mode,
+    mut data: Vec<u8>,
+    eligible: &[usize],
+) {
     let shards = plan_shards(data.len(), eligible.len());
-    let job = JobState::new(id, shards.len());
+    let job = JobState::new(id, lane, shards.len());
     // Split from the tail so each shard is one allocation and the bytes
     // are copied exactly once.
     for (part, shard) in shards.into_iter().enumerate().rev() {
@@ -955,6 +1169,7 @@ mod tests {
     use rijndael::modes::{Cbc, Ctr, Ecb};
     use rijndael::Aes128;
     use std::collections::BTreeMap;
+    use std::sync::atomic::AtomicUsize;
 
     const KEY: [u8; 16] = [
         0x2B, 0x7E, 0x15, 0x16, 0x28, 0xAE, 0xD2, 0xA6, 0xAB, 0xF7, 0x15, 0x88, 0x09, 0xCF, 0x4F,
@@ -1179,9 +1394,9 @@ mod tests {
 
     #[test]
     fn autoscale_ignores_neighbor_pool_backlog() {
-        // Two session pools share one service registry. A's backlog
-        // drives the shared engine.queue.depth gauge high; B, nearly
-        // idle, must not grow on its neighbor's pressure.
+        // Two pools share one registry. A's backlog drives the shared
+        // engine.queue.depth gauge high; B, nearly idle, must not grow
+        // on its neighbor's pressure.
         let reg = Registry::new();
         let a = PoolBuilder::new()
             .core(BackendSpec::Ttable)
@@ -1213,10 +1428,10 @@ mod tests {
 
     #[test]
     fn autoscale_shrinks_an_idle_pool_beside_a_busy_neighbor() {
-        // Two session pools share one service registry. The busy one
-        // runs a job every tick, so the shared occupancy histogram keeps
-        // filling with saturated samples; the idle one must judge only
-        // its own workers' samples and shrink anyway.
+        // Two pools share one registry. The busy one runs a job every
+        // tick, so the shared occupancy histogram keeps filling with
+        // saturated samples; the idle one must judge only its own
+        // workers' samples and shrink anyway.
         let reg = Registry::new();
         let busy = PoolBuilder::new()
             .core(BackendSpec::Software)
@@ -1319,19 +1534,169 @@ mod tests {
 
     #[test]
     fn notifier_fires_once_per_completion() {
-        use std::sync::atomic::AtomicUsize;
-        let pool = WorkerPool::with_farm(&KEY, &[BackendSpec::Software; 2], 8);
+        let pool = PoolBuilder::new()
+            .cores(&[BackendSpec::Software; 2])
+            .build_shared();
         let fired = Arc::new(AtomicUsize::new(0));
         let counter = Arc::clone(&fired);
-        pool.set_notifier(Arc::new(move || {
-            counter.fetch_add(1, Ordering::SeqCst);
-        }));
+        let lane = pool.open_lane(
+            LaneKey::new(&KEY),
+            Some(Arc::new(move || {
+                counter.fetch_add(1, Ordering::SeqCst);
+            })),
+        );
         for _ in 0..5 {
-            pool.try_submit(Mode::Ctr([0; 16]), sample(40)).unwrap();
+            lane.try_submit(Mode::Ctr([0; 16]), sample(40)).unwrap();
         }
-        assert_eq!(collect_n(&pool, 5).len(), 5);
+        for _ in 0..5 {
+            assert!(lane.collect_timeout(WAIT).unwrap().data.is_ok());
+        }
         pool.wait_idle();
         assert_eq!(fired.load(Ordering::SeqCst), 5);
+    }
+
+    /// The expected output of `mode` over `data` under `key`.
+    fn reference(key: &[u8], mode: Mode, data: &[u8]) -> Vec<u8> {
+        let cipher = rijndael::Rijndael::<4>::new(key).unwrap();
+        let mut out = data.to_vec();
+        match mode {
+            Mode::EcbEncrypt => Ecb::encrypt(&cipher, &mut out).unwrap(),
+            Mode::Ctr(nonce) => Ctr::apply(&cipher, &nonce, &mut out),
+            Mode::CbcDecrypt(iv) => Cbc::decrypt(&cipher, &iv, &mut out).unwrap(),
+            _ => unreachable!("the interleave uses three modes"),
+        }
+        out
+    }
+
+    #[test]
+    fn interleaved_lanes_under_different_keys_match_the_reference() {
+        let keys: [Vec<u8>; 3] = [KEY.to_vec(), vec![0x5A; 16], (0..32u8).collect()];
+        let modes = [
+            Mode::EcbEncrypt,
+            Mode::Ctr([7; 16]),
+            Mode::CbcDecrypt([9; 16]),
+        ];
+        for spec in [BackendSpec::EncDecCore, BackendSpec::Auto] {
+            for workers in [1usize, 3] {
+                let reg = Registry::new();
+                let pool = PoolBuilder::new()
+                    .cores(&vec![spec; workers])
+                    .capacity(16)
+                    .registry(reg.clone())
+                    .build_shared();
+                let lanes: Vec<Lane> = keys
+                    .iter()
+                    .map(|k| pool.open_lane(LaneKey::new(k), None))
+                    .collect();
+                // A lone worker serves parallel jobs in submission order
+                // (a pinned stream would jump its own deque ahead).
+                let modes = if workers == 1 {
+                    &modes[..2]
+                } else {
+                    &modes[..]
+                };
+                let mut expected = Vec::new();
+                for round in 0..4 {
+                    for (l, lane) in lanes.iter().enumerate() {
+                        let mode = modes[(round + l) % modes.len()];
+                        let data = sample(16 * (9 + round + l));
+                        let id = lane.try_submit(mode, data.clone()).unwrap();
+                        expected.push((l, id, reference(&keys[l], mode, &data)));
+                    }
+                }
+                let mut got = BTreeMap::new();
+                for &(l, _, _) in &expected {
+                    let out = lanes[l].collect_timeout(WAIT).expect("job completes");
+                    got.insert((l, out.id), out.data);
+                }
+                for (l, id, want) in expected {
+                    assert_eq!(got[&(l, id)], Ok(want), "{spec} x{workers} lane {l}");
+                }
+                pool.wait_idle();
+                let rekeys = reg.snapshot().counter("engine.core.0.rekeys");
+                if workers == 1 {
+                    // Twelve jobs in submission order: a key switch on
+                    // every job after the first.
+                    assert_eq!(rekeys, Some(11), "{spec}");
+                } else {
+                    assert!(rekeys >= Some(1), "{spec}: {rekeys:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_single_key_run_never_rekeys() {
+        let reg = Registry::new();
+        let pool = PoolBuilder::new()
+            .cores(&[BackendSpec::EncDecCore; 2])
+            .registry(reg.clone())
+            .build(&KEY);
+        for _ in 0..4 {
+            pool.try_submit(Mode::EcbEncrypt, sample(32 * 16)).unwrap();
+            assert!(pool.collect_timeout(WAIT).unwrap().data.is_ok());
+        }
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("engine.core.0.rekeys"), Some(0));
+        assert_eq!(snap.counter("engine.core.1.rekeys"), Some(0));
+    }
+
+    #[test]
+    fn each_lane_has_its_own_capacity() {
+        // Paced cores keep the first lane's two jobs open while the
+        // second lane submits.
+        let pool = PoolBuilder::new()
+            .core(BackendSpec::Paced {
+                block_ns: 1_000_000,
+            })
+            .capacity(2)
+            .build_shared();
+        let a = pool.open_lane(LaneKey::new(&KEY), None);
+        let b = pool.open_lane(LaneKey::new(&[1; 16]), None);
+        a.try_submit(Mode::EcbEncrypt, sample(64)).unwrap();
+        a.try_submit(Mode::EcbEncrypt, sample(64)).unwrap();
+        assert_eq!(
+            a.try_submit(Mode::EcbEncrypt, sample(64)),
+            Err(SubmitError::Busy { capacity: 2 })
+        );
+        assert!(b.try_submit(Mode::EcbEncrypt, sample(64)).is_ok());
+        assert_eq!(pool.open_jobs(), 3);
+        assert!(b.wait_idle_timeout(WAIT));
+        assert_eq!(b.open_jobs(), 0);
+        pool.wait_idle();
+    }
+
+    #[test]
+    fn a_dropped_lane_still_retires_its_jobs() {
+        let pool = PoolBuilder::new()
+            .core(BackendSpec::Paced { block_ns: 100_000 })
+            .build_shared();
+        let lane = pool.open_lane(LaneKey::new(&KEY), None);
+        for _ in 0..3 {
+            lane.try_submit(Mode::Ctr([0; 16]), sample(8 * 16)).unwrap();
+        }
+        drop(lane);
+        pool.wait_idle();
+        assert_eq!(pool.open_jobs(), 0);
+        let next = pool.open_lane(LaneKey::new(&[2; 16]), None);
+        assert!(next.try_collect().is_none(), "nothing leaks across lanes");
+    }
+
+    #[test]
+    fn workers_gauge_counts_live_threads() {
+        let reg = Registry::new();
+        let pool = PoolBuilder::new()
+            .cores(&[BackendSpec::Software; 3])
+            .registry(reg.clone())
+            .build(&KEY);
+        assert_eq!(reg.snapshot().gauge("engine.workers"), Some(0));
+        assert_eq!(pool.workers(), 3, "configured, not yet spawned");
+        pool.try_submit(Mode::EcbEncrypt, sample(16)).unwrap();
+        assert_eq!(reg.snapshot().gauge("engine.workers"), Some(3));
+        assert!(pool.remove_core(2));
+        assert_eq!(reg.snapshot().gauge("engine.workers"), Some(2));
+        pool.shutdown();
+        assert_eq!(reg.snapshot().gauge("engine.workers"), Some(0));
     }
 
     #[test]

@@ -31,7 +31,7 @@ use telemetry::{Histogram, Registry, Snapshot};
 
 use crate::backend::{Backend, BackendSpec};
 use crate::job::{
-    plan_shards, run_span, CoreTel, FarmBuilder, Gate, JobError, JobId, JobOutput, Mode,
+    plan_shards, run_span, CoreTel, FarmBuilder, FarmSlot, Gate, JobError, JobId, JobOutput, Mode,
     SubmitError,
 };
 use crate::stats::FarmStats;
@@ -46,6 +46,13 @@ const LATENCY_BOUNDS: [u64; 12] = [
 pub type EngineBuilder = FarmBuilder<Engine>;
 
 impl FarmBuilder<Engine> {
+    /// Adds an already-keyed backend as the next farm slot.
+    #[must_use]
+    pub fn backend(mut self, worker: Box<dyn Backend>) -> Self {
+        self.slots.push(FarmSlot::Keyed(worker));
+        self
+    }
+
     /// Keys every spec-built slot with `key` and assembles the engine.
     ///
     /// # Panics
@@ -770,17 +777,6 @@ mod tests {
             self.blocks += 1;
             self.cycles += 2;
             self.setup += 20;
-            Ok(())
-        }
-
-        fn process_stream(
-            &mut self,
-            blocks: &mut [[u8; 16]],
-            dir: Direction,
-        ) -> Result<(), BackendError> {
-            for block in blocks.iter_mut() {
-                self.process_block(block, dir)?;
-            }
             Ok(())
         }
 

@@ -38,14 +38,17 @@
 //! emitted when the job completes — in completion order, which is not
 //! submission order. A v2 client may therefore keep an arbitrary
 //! pipeline depth per connection. Bulk payloads hand off to the
-//! session's worker pool ([`engine::WorkerPool`], the session's only
-//! farm) and never run crypto on the shard thread; a full pool answers a
-//! typed [`ErrorCode::Busy`]. Everything else — every v1 request and
-//! every v2 request under [`crate::session::BULK_THRESHOLD`] — runs on
-//! the shard thread on the session's one shared software schedule.
-//! Each shard parks a self-pipe wake fd in its poll set: a pool
-//! completion, or the acceptor handing over a new socket, cuts the poll
-//! short so the reply goes out immediately.
+//! session's lane on the server's one [`engine::WorkerPool`] — built at
+//! spawn from [`ServiceConfig::farm`], its threads started by the first
+//! bulk job, each job carrying its session's key — and never run crypto
+//! on the shard thread; a session at its lane's capacity answers a
+//! typed [`ErrorCode::Busy`] while other sessions keep submitting.
+//! Everything else — every v1 request and every v2 request under
+//! [`crate::session::BULK_THRESHOLD`] — runs on the shard thread on the
+//! session's one shared software schedule. Each shard parks a self-pipe
+//! wake fd in its poll set: a pool completion, or the acceptor handing
+//! over a new socket, cuts the poll short so the reply goes out
+//! immediately.
 //!
 //! # Telemetry
 //!
@@ -54,9 +57,10 @@
 //! (`service.error.<code>`), connection gauges, the pipelined in-flight
 //! gauge (`service.pipeline.inflight`), readiness-loop histograms
 //! (`service.loop.events_per_poll`, `service.loop.dispatch_micros`), a
-//! request frame-size histogram, admission refusals, and — because each
-//! session's worker pool is built against the same registry — the full
-//! `engine.*` instrument set, which counts pool-lane jobs only.
+//! request frame-size histogram, admission refusals, and — because the
+//! server's worker pool is built against the same registry — the full
+//! `engine.*` instrument set, which counts pool-lane jobs only
+//! (`engine.workers` is the pool's live worker threads).
 //! `GET_STATS` serialises one snapshot of that registry as the
 //! `telemetry/1` JSON document;
 //! [`ServiceHandle::registry`] exposes the same registry in-process, so
@@ -67,7 +71,8 @@
 //! jobs still executing on the pool), sends an
 //! [`ErrorCode::ShuttingDown`] goodbye, and exits;
 //! [`ServiceHandle::shutdown`] joins the acceptor, which joins every
-//! shard — no threads outlive the handle.
+//! shard, then shuts the worker pool down — no threads outlive the
+//! handle.
 
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -77,7 +82,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use engine::{BackendSpec, Error, ResizePolicy, SubmitError};
+use engine::{BackendSpec, Error, Notifier, PoolBuilder, ResizePolicy, SubmitError, WorkerPool};
 use rijndael::aead;
 use telemetry::{Counter, Gauge, Registry};
 
@@ -98,8 +103,8 @@ const ACCEPT_POLL: Duration = Duration::from_millis(5);
 /// slot indices, so the all-ones pattern can never collide with one.
 const WAKE_TOKEN: usize = usize::MAX;
 
-/// How often a shard runs the elastic policy over its keyed sessions
-/// when [`ServiceConfig::elastic`] is set.
+/// How often the acceptor runs the elastic policy over the server's
+/// worker pool when [`ServiceConfig::elastic`] is set.
 const AUTOSCALE_TICK: Duration = Duration::from_millis(100);
 
 /// How long the graceful-shutdown drain waits for a session's pool
@@ -142,16 +147,17 @@ const DISPATCH_BOUNDS: [u64; 8] = [10, 50, 100, 500, 1_000, 5_000, 10_000, 100_0
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct ServiceConfig {
-    /// The worker-pool farm behind every session's v2 bulk lane (each
-    /// connection keys its own copy, on its first bulk request, so farms
-    /// are not shared across clients). Requests on the caller-thread
-    /// lane never reach it. The default is [`BackendSpec::Auto`] slots:
-    /// the runtime dispatch decision, so a portable binary still lands on
-    /// AES-NI/AVX2 where the serving CPU has them.
+    /// The farm of the server's one worker pool, which runs every
+    /// session's v2 bulk jobs: one worker thread per slot, started by
+    /// the first bulk request, each job carrying its session's key.
+    /// Requests on the caller-thread lane never reach it. The default is
+    /// [`BackendSpec::Auto`] slots: the runtime dispatch decision, so a
+    /// portable binary still lands on AES-NI/AVX2 where the serving CPU
+    /// has them.
     pub farm: Vec<BackendSpec>,
-    /// Bound on each session's open pipelined bulk jobs (its worker
-    /// pool); a v2 bulk request beyond it earns a typed
-    /// [`ErrorCode::Busy`] reply.
+    /// Bound on each session's open pipelined bulk jobs (its lane on the
+    /// worker pool); a v2 bulk request beyond it earns a typed
+    /// [`ErrorCode::Busy`] reply, and other sessions are unaffected.
     pub queue_capacity: usize,
     /// Connection admission cap.
     pub max_connections: usize,
@@ -161,11 +167,11 @@ pub struct ServiceConfig {
     /// Shard event-loop threads the connections are spread across
     /// (clamped to at least 1).
     pub event_threads: usize,
-    /// Elastic worker-pool supervision: when set, each shard ticks every
-    /// keyed session's pool against this policy (~10×/s), growing it
-    /// under queue pressure and shrinking it when idle; the decisions
-    /// surface as `engine.resize.*` / `engine.workers` telemetry in
-    /// `GET_STATS`. `None` (the default) leaves every session's pool at
+    /// Elastic worker-pool supervision: when set, the server ticks its
+    /// worker pool against this policy (~10×/s), growing it under queue
+    /// pressure from all sessions and shrinking it when idle; the
+    /// decisions surface as `engine.resize.*` / `engine.workers`
+    /// telemetry in `GET_STATS`. `None` (the default) leaves the pool at
     /// its configured size.
     pub elastic: Option<ResizePolicy>,
 }
@@ -197,7 +203,7 @@ impl Default for ServiceConfig {
 /// Typed rejection from [`ServiceConfigBuilder::build`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConfigError {
-    /// The farm has no backend slots: sessions could never run a bulk
+    /// The farm has no backend slots: the pool could never run a bulk
     /// job.
     EmptyFarm,
     /// Zero shard event-loop threads: no thread would ever service a
@@ -247,8 +253,8 @@ pub struct ServiceConfigBuilder {
 }
 
 impl ServiceConfigBuilder {
-    /// The worker-pool farm behind every session's bulk lane (one
-    /// backend slot per entry; see [`ServiceConfig::farm`]).
+    /// The farm of the server's worker pool (one backend slot per
+    /// entry; see [`ServiceConfig::farm`]).
     #[must_use]
     pub fn farm(mut self, farm: &[BackendSpec]) -> Self {
         self.config.farm = farm.to_vec();
@@ -347,6 +353,8 @@ struct Shared {
     /// `service.pipeline.inflight` — pipelined jobs submitted and not
     /// yet answered, across every connection.
     inflight: Gauge,
+    /// The one worker pool every session's bulk lane runs on.
+    pool: WorkerPool,
 }
 
 impl Shared {
@@ -400,12 +408,20 @@ impl Server {
         registry
             .gauge("rijndael.dispatch.forced")
             .set(i64::from(dispatch.forced));
+        // No worker thread starts here: the pool spawns its farm on the
+        // first bulk job.
+        let pool = PoolBuilder::new()
+            .cores(&self.config.farm)
+            .capacity(self.config.queue_capacity)
+            .registry(registry.clone())
+            .build_shared();
         let shared = Arc::new(Shared {
             shutdown: AtomicBool::new(false),
             active: registry.gauge("service.connections.active"),
             served: registry.counter("service.connections.served"),
             refused: registry.counter("service.admission.refused"),
             inflight: registry.gauge("service.pipeline.inflight"),
+            pool,
             config: self.config,
             registry,
         });
@@ -458,7 +474,7 @@ impl ServiceHandle {
     }
 
     /// The server's telemetry registry — the same one `GET_STATS`
-    /// snapshots, and the one every session's worker pool publishes into.
+    /// snapshots, and the one the worker pool publishes into.
     #[must_use]
     pub fn registry(&self) -> &Registry {
         &self.shared.registry
@@ -487,6 +503,8 @@ impl ServiceHandle {
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
         }
+        // Every shard drained its sessions' lanes before exiting.
+        self.shared.pool.shutdown();
     }
 }
 
@@ -520,6 +538,7 @@ fn accept_loop(
 ) {
     let mut poll = PollSet::new();
     let mut next_shard = 0usize;
+    let mut last_scale = Instant::now();
     while !shared.shutdown.load(Ordering::Acquire) {
         // Burst-accept everything pending; a sequential connect storm
         // must drain faster than the kernel backlog fills.
@@ -545,6 +564,13 @@ fn accept_loop(
                     thread::sleep(ACCEPT_POLL);
                     break;
                 }
+            }
+        }
+        // Elastic supervision of the one pool, roughly ten times a second.
+        if let Some(policy) = &shared.config.elastic {
+            if last_scale.elapsed() >= AUTOSCALE_TICK {
+                last_scale = Instant::now();
+                let _ = shared.pool.autoscale_tick(policy);
             }
         }
         // Sleep until the next pending connection (or the poll tick).
@@ -644,10 +670,10 @@ struct Conn {
     /// Set by [`Flow::Close`]: no more reads; drop once `out` drains.
     closing: bool,
     /// The owning shard's wake-pipe callback, installed into each newly
-    /// keyed session's worker pool so bulk completions un-park the
+    /// keyed session's pool lane so bulk completions un-park the
     /// shard's `poll(2)` immediately. `None` when the platform gave the
     /// shard no pipe (the loop then falls back to its poll timeout).
-    notifier: Option<Arc<dyn Fn() + Send + Sync>>,
+    notifier: Option<Notifier>,
 }
 
 impl Conn {
@@ -694,16 +720,15 @@ fn shard_loop(shared: &Arc<Shared>, inbox: &Inbox, mut wake: Option<net::WakePip
         .registry
         .histogram("service.loop.dispatch_micros", &DISPATCH_BOUNDS);
 
-    // Self-pipe wakeup: the acceptor after a hand-off, and session worker
-    // pools when a bulk job finishes, make the pipe readable so a parked
+    // Self-pipe wakeup: the acceptor after a hand-off, and the worker
+    // pool when one of this shard's sessions finishes a bulk job, make the pipe readable so a parked
     // poll(2) returns immediately instead of waiting out its timeout. The
     // pipe is registered under a reserved token no connection slot can
     // reach.
-    let shard_notifier: Option<Arc<dyn Fn() + Send + Sync>> = wake.as_ref().map(|w| {
+    let shard_notifier: Option<Notifier> = wake.as_ref().map(|w| {
         let n = w.notifier();
-        Arc::new(move || n.wake()) as Arc<dyn Fn() + Send + Sync>
+        Arc::new(move || n.wake()) as Notifier
     });
-    let mut last_scale = Instant::now();
 
     loop {
         // Admit handed-off sockets into free slots.
@@ -817,19 +842,6 @@ fn shard_loop(shared: &Arc<Shared>, inbox: &Inbox, mut wake: Option<net::WakePip
             if !conn.out.is_empty() && conn.out.flush(&mut &conn.stream).is_err() {
                 *slot = None;
                 shared.active.sub(1);
-            }
-        }
-
-        // Elastic supervision: tick each keyed session's worker pool
-        // against the configured policy roughly ten times a second.
-        if let Some(policy) = shared.config.elastic {
-            if last_scale.elapsed() >= AUTOSCALE_TICK {
-                last_scale = Instant::now();
-                for conn in conns.iter_mut().filter_map(Option::as_mut) {
-                    if let Some(session) = conn.slot.session_mut() {
-                        let _ = session.autoscale(&policy);
-                    }
-                }
             }
         }
 
@@ -956,8 +968,8 @@ fn collect_pipelined(conn: &mut Conn, shared: &Shared) {
 /// path. Uses blocking writes: the loop is exiting, so backpressure no
 /// longer matters, only delivery.
 fn drain_and_say_goodbye(mut conn: Conn, shared: &Shared) {
-    // v2 bulk jobs may still be executing on the session pool's worker
-    // threads, and collect's pool lane is non-blocking: wait the pool
+    // v2 bulk jobs may still be executing on the pool's worker threads,
+    // and collect's pool lane is non-blocking: wait the session's lane
     // out (bounded) so every accepted request is answered before the
     // goodbye instead of being dropped with the session.
     if let Some(session) = conn.slot.session_mut() {
@@ -1123,16 +1135,10 @@ fn handle(frame: &Frame, payload: Vec<u8>, conn: &mut Conn, shared: &Shared) -> 
 /// material never appears in any reply payload.
 fn rekey(conn: &mut Conn, shared: &Shared, mut key: Vec<u8>) -> Reply {
     let reply = if matches!(key.len(), 16 | 24 | 32) {
-        let config = &shared.config;
-        conn.slot
-            .rekey(&key, &config.farm, config.queue_capacity, &shared.registry);
-        // Hook the fresh session's pool completions up to this shard's
-        // wake pipe so a finished bulk job interrupts the poll instead
-        // of waiting out its timeout.
-        if let Some(n) = &conn.notifier {
-            let session = conn.slot.session_mut().expect("just rekeyed");
-            session.set_notifier(Arc::clone(n));
-        }
+        // The fresh session's bulk completions wake this shard, so a
+        // finished job interrupts the poll instead of waiting out its
+        // timeout.
+        conn.slot.rekey(&key, &shared.pool, conn.notifier.clone());
         Ok(Vec::new())
     } else {
         Err((ErrorCode::BadKeyLength, key.len() as u32))
@@ -1144,7 +1150,7 @@ fn rekey(conn: &mut Conn, shared: &Shared, mut key: Vec<u8>) -> Reply {
 /// The five engine ops in the two disciplines: a v1 request runs to
 /// completion here, keeping v1's in-order replies; a v2 request is
 /// submitted and answered at completion (`None`), so bulk crypto runs on
-/// the session's worker pool and never on the shard thread.
+/// the worker pool and never on the shard thread.
 fn engine_op(
     frame: &Frame,
     op: Op,
@@ -1655,6 +1661,137 @@ mod tests {
             Some(u64::from(depth)),
             "bulk v2 jobs must complete through the worker pool"
         );
+        server.shutdown();
+    }
+
+    /// The `engine.workers` gauge as a `GET_STATS` reply reports it.
+    fn wire_workers(stream: &TcpStream) -> i64 {
+        let reply = call(stream, &Frame::request(Op::GetStats, 0, 1, 0, Vec::new()));
+        let json = String::from_utf8(reply.payload).unwrap();
+        let needle = "{\"name\":\"engine.workers\",\"type\":\"gauge\",\"value\":";
+        let rest =
+            &json[json.find(needle).expect("GET_STATS carries engine.workers") + needle.len()..];
+        rest[..rest.find('}').unwrap()].parse().unwrap()
+    }
+
+    #[test]
+    fn engine_workers_counts_live_workers_not_keyed_sessions() {
+        let config = ServiceConfig::default();
+        let farm = config.farm.len() as i64;
+        let server = Server::new(config).spawn("127.0.0.1:0").unwrap();
+        let streams: Vec<(TcpStream, u32)> = (0..8)
+            .map(|_| {
+                let stream = TcpStream::connect(server.local_addr()).unwrap();
+                let reply = call(&stream, &Frame::request(Op::SetKey, 0, 1, 0, vec![3u8; 16]));
+                assert_eq!(reply.status(), Some(Status::Ok));
+                (stream, reply.session)
+            })
+            .collect();
+        // Eight keyed sessions and no bulk job: no worker thread runs.
+        assert_eq!(wire_workers(&streams[0].0), 0);
+        let (stream, sid) = &streams[0];
+        let bulk = Frame::request(Op::CtrApply, 0, 3, *sid, vec![0u8; 16 + 4096]).with_corr(3);
+        assert_eq!(call(stream, &bulk).status(), Some(Status::Ok));
+        assert_eq!(wire_workers(&streams[1].0), farm);
+        server.shutdown();
+    }
+
+    /// A server whose one paced worker keeps bulk jobs open for a while.
+    fn paced_server(capacity: usize) -> ServiceHandle {
+        let config = ServiceConfig::builder()
+            .farm(&[BackendSpec::Paced { block_ns: 20_000 }])
+            .queue_capacity(capacity)
+            .event_threads(1)
+            .build()
+            .unwrap();
+        Server::new(config).spawn("127.0.0.1:0").unwrap()
+    }
+
+    fn keyed(server: &ServiceHandle, key: u8) -> (TcpStream, u32) {
+        let stream = TcpStream::connect(server.local_addr()).unwrap();
+        // Pipelined frames must not wait out Nagle behind a slow reply.
+        stream.set_nodelay(true).unwrap();
+        let reply = call(&stream, &Frame::request(Op::SetKey, 0, 1, 0, vec![key; 16]));
+        (stream, reply.session)
+    }
+
+    fn bulk_ecb(sid: u32, corr: u32) -> Frame {
+        Frame::request(Op::EcbEncrypt, 0, corr, sid, vec![0u8; 256 * 16]).with_corr(corr)
+    }
+
+    /// Waits until the server's pool has no open job.
+    fn pool_drains(server: &ServiceHandle) -> bool {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while server.shared.pool.open_jobs() > 0 {
+            if Instant::now() > deadline {
+                return false;
+            }
+            thread::sleep(Duration::from_millis(5));
+        }
+        true
+    }
+
+    #[test]
+    fn a_full_session_gets_busy_while_another_session_is_served() {
+        let server = paced_server(2);
+        let (a, sid_a) = keyed(&server, 1);
+        let (b, sid_b) = keyed(&server, 2);
+        let mut w = &a;
+        for corr in 10..13 {
+            bulk_ecb(sid_a, corr).write_to(&mut w).unwrap();
+        }
+        // The third job meets A's full lane; B's lane is its own.
+        let mut r = &a;
+        let busy = loop {
+            let reply = Frame::read_from(&mut r).unwrap();
+            if reply.corr == 12 {
+                break reply;
+            }
+        };
+        assert_eq!(busy.error_body(), Some((ErrorCode::Busy, 2)));
+        let reply = call(&b, &bulk_ecb(sid_b, 20));
+        assert_eq!(reply.status(), Some(Status::Ok), "{:?}", reply.error_body());
+        assert!(pool_drains(&server));
+        server.shutdown();
+    }
+
+    #[test]
+    fn rekey_and_close_with_bulk_jobs_in_flight_lose_no_pool_slot() {
+        let server = paced_server(8);
+        let (stream, old) = keyed(&server, 1);
+        let mut w = &stream;
+        for corr in 100..104 {
+            bulk_ecb(old, corr).write_to(&mut w).unwrap();
+        }
+        Frame::request(Op::SetKey, 0, 200, 0, vec![2u8; 16])
+            .with_corr(200)
+            .write_to(&mut w)
+            .unwrap();
+        let mut r = &stream;
+        let new = loop {
+            let reply = Frame::read_from(&mut r).unwrap();
+            if reply.corr == 200 {
+                break reply.session;
+            }
+            // A reply that beat the re-key belongs to the old session.
+            assert_eq!(reply.session, old);
+        };
+        assert_ne!(new, old);
+        // The old session's jobs finish under the old key and never
+        // surface in the new session's replies.
+        let reply = call(&stream, &bulk_ecb(new, 300));
+        assert_eq!((reply.corr, reply.session), (300, new));
+        let mut expect = [0u8; 16];
+        rijndael::Aes128::new(&[2u8; 16]).encrypt_in_place(&mut expect);
+        assert_eq!(reply.payload[..16], expect);
+        assert!(pool_drains(&server));
+
+        // Hanging up with jobs in flight frees their slots too.
+        for corr in 400..404 {
+            bulk_ecb(new, corr).write_to(&mut w).unwrap();
+        }
+        drop(stream);
+        assert!(pool_drains(&server));
         server.shutdown();
     }
 

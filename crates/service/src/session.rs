@@ -1,49 +1,44 @@
 //! Per-connection sessions: key management over one shared schedule
-//! and a lazily started worker pool.
+//! and a lane on a worker pool.
 //!
 //! A `SET_KEY` request creates a [`Session`]: **one** software schedule
 //! — the dispatch-selected [`AutoCipher`], shared through an [`Arc`] by
 //! every caller-thread lane: the block modes, CMAC, key wrap, the [`Gcm`]
-//! lane and both halves of the [`Xts`] lane — plus a [`WorkerPool`] over
-//! the configured farm. The pool is the session's only farm and serves
-//! only v2 bulk jobs; it keys its backends and spawns its threads on the
-//! first such job, so a session that never sees one keys no farm
-//! backend at all. When the deployment is pinned to the batch-less
-//! `ip-core`, the shared schedule is the T-table kind, so only pool jobs
-//! reach the IP-core models. Keys may be 16, 24 or 32 bytes
-//! (AES-128/192/256); the modeled IP cores are AES-128-only, so longer
-//! keys divert their farm slots to the software fallback backend. The
-//! key is never echoed on the wire and the only raw copy kept is the
-//! worker pool's (it must key its workers at runtime); when the session
-//! is dropped — connection teardown, idle expiry, or a re-key replacing
-//! it — that copy and the expanded schedules wipe themselves
-//! (`rijndael::zeroize`) and the hardware backends reload an all-zero
-//! key.
-//!
-//! The pool publishes into the registry handed to [`Session::new`] —
-//! the server passes its service-wide [`telemetry::Registry`], so the
-//! `engine.*` instruments a `GET_STATS` reply carries aggregate over
-//! every session's pool lane.
+//! lane and both halves of the [`Xts`] lane — and a [`Lane`] on a
+//! [`WorkerPool`] that holds the same schedule in its [`LaneKey`]. On a
+//! server every session's lane sits on the one server-wide pool, so
+//! worker threads do not scale with sessions; [`Session::new`] builds a
+//! private pool for standalone use. The lane serves only v2 bulk jobs,
+//! and every such job carries the lane's key to whichever worker runs
+//! it. When the deployment is pinned to the batch-less `ip-core`, the
+//! shared schedule is the T-table kind, so only pool jobs reach the
+//! IP-core models. Keys may be 16, 24 or 32 bytes (AES-128/192/256); the
+//! modeled IP cores are AES-128-only, so longer keys divert their farm
+//! slots to the software fallback backend. The key is never echoed on
+//! the wire and the only raw copy kept is the lane key's (IP-core slots
+//! load it at runtime); when the session is dropped — connection
+//! teardown, idle expiry, or a re-key replacing it — that copy and the
+//! expanded schedule wipe themselves (`rijndael::zeroize`) once the
+//! session's last pool job is done, and no worker keeps a key past its
+//! jobs.
 //!
 //! Jobs take one of two paths. [`Session::execute`] runs every mode at
 //! every size on the caller's thread, on the shared schedule.
 //! [`Session::submit`] (protocol v2) tags a job with the request's
 //! correlation id: a job under [`BULK_THRESHOLD`] bytes runs the same
-//! caller-thread path and parks its result, a bulk job goes to the
-//! worker pool, whose bounded capacity surfaces as
-//! [`SubmitError::Busy`]. [`Session::collect`] returns every finished
-//! job in **completion order** — across the pool's threads that is not
-//! submission order, which is the out-of-order property the v2 wire
-//! format exists to carry.
+//! caller-thread path and parks its result, a bulk job goes to the lane,
+//! whose bounded capacity surfaces as [`SubmitError::Busy`].
+//! [`Session::collect`] returns every finished job in **completion
+//! order** — across the pool's threads that is not submission order,
+//! which is the out-of-order property the v2 wire format exists to
+//! carry.
 
 use std::sync::Arc;
 
 use engine::{
-    BackendSpec, Error, JobId, Mode, PoolBuilder, ResizeAction, ResizePolicy, SubmitError,
-    WorkerPool,
+    BackendSpec, Error, JobId, Lane, LaneKey, Mode, Notifier, PoolBuilder, SubmitError, WorkerPool,
 };
 use rijndael::aead::{self, Aead, Gcm, Xts, NONCE_LEN};
-use rijndael::dispatch::Kind;
 use rijndael::modes::{Ctr, Ecb};
 use rijndael::{cmac, AutoCipher};
 use telemetry::Registry;
@@ -52,20 +47,20 @@ use telemetry::Registry;
 /// to the worker pool ([`Session::submit`]).
 pub const BULK_THRESHOLD: usize = 8 * 16;
 
-/// One keyed session: the one shared software schedule, a worker pool
-/// and the bookkeeping for pipelined jobs.
+/// One keyed session: the one shared software schedule, a lane on a
+/// worker pool and the bookkeeping for pipelined jobs.
 pub struct Session {
     id: u32,
-    /// The session's only farm, behind the pipelined *bulk* lane: v2
-    /// requests of [`BULK_THRESHOLD`] bytes or more run here, off the
-    /// event-loop thread, so one large job does not head-of-line-block
-    /// every connection on the shard. Worker threads spawn (and key
-    /// their backends) lazily on the first such request, so small-traffic
-    /// sessions cost none.
-    pool: WorkerPool,
-    /// The session key's one software schedule, read by the block modes,
-    /// CMAC and key wrap; `aead` and `xts` hold clones of the same `Arc`.
-    cipher: Arc<AutoCipher>,
+    /// The pipelined *bulk* lane: v2 requests of [`BULK_THRESHOLD`]
+    /// bytes or more run on the pool's threads, off the event-loop
+    /// thread, so one large job does not head-of-line-block every
+    /// connection on the shard. Its key holds the session's one
+    /// software schedule, which the block modes, CMAC and key wrap read;
+    /// `aead` and `xts` hold clones of the same `Arc`.
+    lane: Lane,
+    /// The private pool [`Session::new`] builds; `None` for a session on
+    /// a shared pool.
+    own_pool: Option<WorkerPool>,
     /// GCM lane for the SEAL/OPEN ops.
     aead: Gcm<Arc<AutoCipher>>,
     /// XTS lane for the sector-addressed wire ops. Single-key
@@ -81,11 +76,11 @@ pub struct Session {
 }
 
 impl Session {
-    /// Keys a new session: expands the shared software schedule from
-    /// `key` and configures the worker pool over `farm`, wiring its
-    /// telemetry into `registry`. The caller owns (and should wipe) its
-    /// copy of the key bytes; this type keeps only expanded material
-    /// (and the pool's copy), which self-wipes on drop.
+    /// Keys a standalone session: builds a private worker pool over
+    /// `farm` whose lanes hold up to `queue_capacity` open jobs, wiring
+    /// its telemetry into `registry`, then opens the session's lane on
+    /// it as [`Session::on_pool`] does. The caller owns (and should wipe)
+    /// its copy of the key bytes.
     ///
     /// # Panics
     ///
@@ -100,47 +95,58 @@ impl Session {
         queue_capacity: usize,
         registry: &Registry,
     ) -> Session {
-        let cipher = Arc::new(dispatched_cipher(key));
+        let pool = PoolBuilder::new()
+            .cores(farm)
+            .capacity(queue_capacity)
+            .registry(registry.clone())
+            .build_shared();
+        let mut session = Session::on_pool(id, key, &pool, None);
+        session.own_pool = Some(pool);
+        session
+    }
+
+    /// Keys a session on a shared `pool`: expands the one software
+    /// schedule from `key` and opens the session's lane, whose
+    /// completions fire `notifier` (the server passes its shard's wake
+    /// pipe, so a parked `poll(2)` loop re-arms at once).
+    ///
+    /// # Panics
+    ///
+    /// As [`Session::new`].
+    #[must_use]
+    pub fn on_pool(id: u32, key: &[u8], pool: &WorkerPool, notifier: Option<Notifier>) -> Session {
+        let lane = pool.open_lane(LaneKey::new(key), notifier);
+        let cipher = lane.key().cipher();
+        let (aead, xts) = (
+            Gcm::new(Arc::clone(cipher)),
+            Xts::new(Arc::clone(cipher), Arc::clone(cipher)),
+        );
         Session {
             id,
-            pool: PoolBuilder::new()
-                .cores(farm)
-                .capacity(queue_capacity)
-                .registry(registry.clone())
-                .build(key),
-            aead: Gcm::new(Arc::clone(&cipher)),
-            xts: Xts::new(Arc::clone(&cipher), Arc::clone(&cipher)),
-            cipher,
+            lane,
+            own_pool: None,
+            aead,
+            xts,
             done: Vec::new(),
             pool_jobs: Vec::new(),
         }
     }
 
-    /// Installs the completion callback the pool lane fires once per
-    /// finished bulk job — the server points this at its shard's wake
-    /// pipe so a parked `poll(2)` loop re-arms the connection without
-    /// waiting out its timeout. Call after every re-key (a new session
-    /// starts with no notifier).
-    pub fn set_notifier(&self, notifier: Arc<dyn Fn() + Send + Sync>) {
-        self.pool.set_notifier(notifier);
+    /// The session key's one software schedule.
+    fn cipher(&self) -> &AutoCipher {
+        self.lane.key().cipher()
     }
 
-    /// One elastic supervisor tick over the session's worker pool; see
-    /// [`WorkerPool::autoscale_tick`]. Returns what changed, if anything.
-    pub fn autoscale(&self, policy: &ResizePolicy) -> Option<ResizeAction> {
-        self.pool.autoscale_tick(policy)
-    }
-
-    /// Waits (up to `timeout`) for every pool-lane bulk job still
-    /// executing on the worker threads to finish, so a following
-    /// [`Session::collect`] returns them. Returns `true` when the lane
-    /// went quiet. The server's graceful-shutdown drain calls this
-    /// before the goodbye frame — the pool lane of `collect` is
-    /// non-blocking, and dropping the session mid-execution would
-    /// silently discard an accepted request's reply.
+    /// Waits (up to `timeout`) for every bulk job of this session still
+    /// executing on the pool to finish, so a following
+    /// [`Session::collect`] returns them; other sessions' jobs do not
+    /// count. Returns `true` when the lane went quiet. The server's
+    /// graceful-shutdown drain calls this before the goodbye frame — the
+    /// pool lane of `collect` is non-blocking, and dropping the session
+    /// mid-execution would silently discard an accepted request's reply.
     #[must_use]
     pub fn quiesce(&self, timeout: std::time::Duration) -> bool {
-        self.pool.wait_idle_timeout(timeout)
+        self.lane.wait_idle_timeout(timeout)
     }
 
     /// The server-assigned session id carried in every frame.
@@ -166,7 +172,7 @@ impl Session {
     ///
     /// [`Error::Submit`] when the buffer is ragged or the IV is bad.
     pub fn execute(&self, mode: Mode, mut data: Vec<u8>) -> Result<Vec<u8>, Error> {
-        let cipher = &*self.cipher;
+        let cipher = self.cipher();
         match (mode, mode.chained()) {
             (_, Some((chained, iv, true))) => chained.encrypt_in_place(cipher, &iv, &mut data)?,
             (_, Some((chained, iv, false))) => chained.decrypt_in_place(cipher, &iv, &mut data)?,
@@ -182,7 +188,7 @@ impl Session {
     /// its result surfaces from a later [`Session::collect`].
     ///
     /// Payloads of [`BULK_THRESHOLD`] bytes or more go to the session's
-    /// worker pool and execute on its threads — the event loop returns
+    /// pool lane and execute on the pool's threads — the event loop returns
     /// to `poll(2)` immediately and small neighbours stop queueing behind
     /// bulk crypto. Smaller payloads run [`Session::execute`] right here
     /// (microseconds; handing them to another thread would cost more
@@ -190,14 +196,14 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// The pool's [`SubmitError`] verbatim — `Busy` is the per-session
+    /// The lane's [`SubmitError`] verbatim — `Busy` is the per-session
     /// backpressure signal the server forwards as a typed reply.
     pub fn submit(&mut self, corr: u32, mode: Mode, data: Vec<u8>) -> Result<(), SubmitError> {
         if data.len() < BULK_THRESHOLD {
             let result = self.execute(mode, data);
             self.done.push((corr, result));
         } else {
-            let id = self.pool.try_submit(mode, data)?;
+            let id = self.lane.try_submit(mode, data)?;
             self.pool_jobs.push((id, corr));
         }
         Ok(())
@@ -207,7 +213,7 @@ impl Session {
     /// with its correlation id. Never blocks: pool jobs still running
     /// stay in flight for a later call.
     pub fn collect(&mut self) -> Vec<(u32, Result<Vec<u8>, Error>)> {
-        while let Some(out) = self.pool.try_collect() {
+        while let Some(out) = self.lane.try_collect() {
             if let Some(pos) = self.pool_jobs.iter().position(|&(id, _)| id == out.id) {
                 let (_, corr) = self.pool_jobs.remove(pos);
                 self.done.push((corr, out.data.map_err(Error::from)));
@@ -219,13 +225,13 @@ impl Session {
     /// Computes the AES-CMAC tag of `message` under the session key.
     #[must_use]
     pub fn cmac_tag(&self, message: &[u8]) -> [u8; 16] {
-        cmac::cmac(&*self.cipher, message)
+        cmac::cmac(self.cipher(), message)
     }
 
     /// Constant-time verification of an AES-CMAC tag.
     #[must_use]
     pub fn cmac_verify(&self, message: &[u8], tag: &[u8; 16]) -> bool {
-        cmac::verify(&*self.cipher, message, tag)
+        cmac::verify(self.cipher(), message, tag)
     }
 
     /// AES-GCM seal under the session key: returns ciphertext ‖ tag.
@@ -287,7 +293,7 @@ impl Session {
     /// [`aead::Error::BadWrapLength`] unless `key_data` is at least 16
     /// bytes and a multiple of 8.
     pub fn wrap_key(&self, key_data: &[u8]) -> Result<Vec<u8>, aead::Error> {
-        aead::wrap(&*self.cipher, key_data)
+        aead::wrap(self.cipher(), key_data)
     }
 
     /// RFC 3394 key unwrap with the session key as the KEK.
@@ -297,17 +303,8 @@ impl Session {
     /// [`aead::Error::TagMismatch`] when the integrity check fails;
     /// [`aead::Error::BadWrapLength`] on an impossible blob length.
     pub fn unwrap_key(&self, wrapped: &[u8]) -> Result<Vec<u8>, aead::Error> {
-        aead::unwrap(&*self.cipher, wrapped)
+        aead::unwrap(self.cipher(), wrapped)
     }
-}
-
-/// The dispatch-selected software cipher, falling back to the
-/// always-available T-table kind when the deployment is pinned to the
-/// batch-less `ip-core` (GCM, XTS, CMAC and key wrap still need one).
-fn dispatched_cipher(key: &[u8]) -> AutoCipher {
-    AutoCipher::new(key).unwrap_or_else(|| {
-        AutoCipher::for_kind(Kind::Ttable, key).expect("the T-table kind is always available")
-    })
 }
 
 impl std::fmt::Debug for Session {
@@ -338,25 +335,21 @@ impl SessionSlot {
         }
     }
 
-    /// Replaces the session with a freshly keyed one and returns the new
-    /// id (never 0, which the protocol reserves for "no session").
+    /// Replaces the session with one keyed on `pool` (see
+    /// [`Session::on_pool`]) and returns the new id (never 0, which the
+    /// protocol reserves for "no session").
     ///
     /// # Panics
     ///
     /// Panics if `key.len()` is not 16, 24 or 32 bytes (validated at the
     /// protocol boundary).
-    pub fn rekey(
-        &mut self,
-        key: &[u8],
-        farm: &[BackendSpec],
-        queue_capacity: usize,
-        registry: &Registry,
-    ) -> u32 {
+    pub fn rekey(&mut self, key: &[u8], pool: &WorkerPool, notifier: Option<Notifier>) -> u32 {
         let id = self.next_id.max(1);
         self.next_id = id.wrapping_add(1);
-        // Assigning drops the previous session first-class: its pool
-        // backends and cipher schedule wipe their key material on drop.
-        self.current = Some(Session::new(id, key, farm, queue_capacity, registry));
+        // Assigning drops the previous session first-class: its lane's
+        // jobs still in flight finish under the old key and are
+        // discarded, and its key material wipes once they are done.
+        self.current = Some(Session::on_pool(id, key, pool, notifier));
         id
     }
 
@@ -467,10 +460,9 @@ mod tests {
     #[test]
     fn every_software_lane_shares_one_schedule_and_drop_releases_it() {
         let s = session(8);
-        let schedule = Arc::clone(&s.cipher);
-        // The session's own handle, the GCM lane and both XTS halves
-        // (the block modes, CMAC and key wrap read the session's handle),
-        // plus this test's.
+        let schedule = Arc::clone(s.lane.key().cipher());
+        // The lane key's handle (which the block modes, CMAC and key wrap
+        // read), the GCM lane and both XTS halves, plus this test's.
         assert_eq!(Arc::strong_count(&schedule), 5);
         drop(s);
         // Ours is the last handle: dropping it runs the schedule's wipe.
@@ -541,12 +533,13 @@ mod tests {
     #[test]
     fn pool_lane_notifier_fires_on_bulk_completion() {
         use std::sync::atomic::{AtomicUsize, Ordering};
-        let mut s = session(8);
+        let pool = PoolBuilder::new().cores(&farm()).build_shared();
         let fired = Arc::new(AtomicUsize::new(0));
         let counter = Arc::clone(&fired);
-        s.set_notifier(Arc::new(move || {
+        let notifier: Notifier = Arc::new(move || {
             counter.fetch_add(1, Ordering::SeqCst);
-        }));
+        });
+        let mut s = Session::on_pool(1, &KEY, &pool, Some(notifier));
         s.submit(1, Mode::Ctr([0; 16]), sample(BULK_THRESHOLD))
             .unwrap();
         collect_n(&mut s, 1);
@@ -573,10 +566,43 @@ mod tests {
     }
 
     #[test]
-    fn autoscale_is_callable_through_the_session() {
-        let s = session(8);
+    fn sessions_on_one_pool_share_its_workers_and_its_autoscale() {
+        let reg = Registry::new();
+        let pool = PoolBuilder::new()
+            .core(BackendSpec::Software)
+            .registry(reg.clone())
+            .build_shared();
         // An idle, min-sized pool has nothing to do.
-        assert_eq!(s.autoscale(&engine::ResizePolicy::default()), None);
+        assert_eq!(pool.autoscale_tick(&engine::ResizePolicy::default()), None);
+        let mut a = Session::on_pool(1, &KEY, &pool, None);
+        let mut b = Session::on_pool(2, &[6u8; 32], &pool, None);
+        a.submit(1, Mode::EcbEncrypt, sample(16 * 16)).unwrap();
+        b.submit(2, Mode::EcbEncrypt, sample(16 * 16)).unwrap();
+        assert!(collect_n(&mut a, 1)[0].1.is_ok());
+        assert!(collect_n(&mut b, 1)[0].1.is_ok());
+        assert_eq!(pool.workers(), 1, "two sessions, one worker");
+        assert_eq!(reg.snapshot().gauge("engine.workers"), Some(1));
+    }
+
+    #[test]
+    fn bulk_jobs_leave_no_worker_holding_the_schedule() {
+        let mut s = Session::new(1, &KEY, &[BackendSpec::Auto; 2], 8, &Registry::new());
+        let schedule = Arc::clone(s.lane.key().cipher());
+        // One job at a time: each of the two workers runs at most one
+        // shard, so each has nothing queued when it finishes.
+        for corr in 0..3 {
+            s.submit(corr, Mode::Ctr([corr as u8; 16]), sample(64 * 16))
+                .unwrap();
+            assert!(s.quiesce(std::time::Duration::from_secs(10)));
+            // The lane key, the GCM lane, both XTS halves and this
+            // test: every worker released its handle before the job
+            // came back.
+            assert_eq!(Arc::strong_count(&schedule), 5);
+        }
+        assert_eq!(collect_n(&mut s, 3).len(), 3);
+        assert_eq!(Arc::strong_count(&schedule), 5);
+        drop(s);
+        assert_eq!(Arc::strong_count(&schedule), 1);
     }
 
     #[test]
@@ -722,7 +748,8 @@ mod tests {
         // reference over the same dispatched cipher type so a forced
         // backend cannot desynchronise the comparison.
         fn reference(key: &[u8]) -> Xts<impl BatchCipher> {
-            Xts::new(super::dispatched_cipher(key), super::dispatched_cipher(key))
+            let cipher = Arc::clone(LaneKey::new(key).cipher());
+            Xts::new(Arc::clone(&cipher), cipher)
         }
         for key_len in [16usize, 24, 32] {
             let key: Vec<u8> = (0..key_len as u8)
@@ -794,15 +821,15 @@ mod tests {
 
     #[test]
     fn rekey_replaces_the_session_and_advances_the_id() {
-        let reg = Registry::new();
+        let pool = PoolBuilder::new().cores(&farm()).capacity(4).build_shared();
         let mut slot = SessionSlot::new();
         assert!(slot.session_mut().is_none());
-        let a = slot.rekey(&KEY, &farm(), 4, &reg);
+        let a = slot.rekey(&KEY, &pool, None);
         slot.session_mut()
             .unwrap()
             .submit(1, Mode::EcbEncrypt, sample(16))
             .unwrap();
-        let b = slot.rekey(&[5u8; 16], &farm(), 4, &reg);
+        let b = slot.rekey(&[5u8; 16], &pool, None);
         assert_ne!(a, b);
         assert_ne!(b, 0);
         // The uncollected job died with the old session.

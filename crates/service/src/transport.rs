@@ -261,7 +261,7 @@ pub trait Transport {
 
     /// Fetches the `telemetry/1` JSON snapshot: per-opcode request
     /// counts, error tallies, connection gauges and the `engine.*`
-    /// instruments of every session's worker pool. Works without a
+    /// instruments of the server's worker pool. Works without a
     /// session. Cluster implementations aggregate across nodes.
     ///
     /// # Errors

@@ -105,6 +105,11 @@ cargo test -q --release --locked --offline --manifest-path servebench/Cargo.toml
 # GET_STATS against the exact op tallies; either mismatch exits nonzero.
 cargo run --release --quiet --locked --offline --manifest-path servebench/Cargo.toml -- \
     --workload rekey_churn --seed 1 --seconds 3 --trace 1
+# rekey_churn's 64 B CTR and sync seal never reach the worker pool; a
+# traced bulk_pipelined run checks the pool probes and audits the
+# pipelined bulk lane the same way.
+cargo run --release --quiet --locked --offline --manifest-path servebench/Cargo.toml -- \
+    --workload bulk_pipelined --seed 1 --seconds 3 --trace 1
 
 echo "==> cluster subsystem tests (ring, router, drain migration, node loss)"
 cargo test -q -p rijndael-cluster --locked --offline
